@@ -49,7 +49,11 @@ def chi_of(cat: CategoryInfo | str, c: Fraction | int) -> CharMatrix:
         diff = (c - c0) / 24
         if diff.denominator == 1:
             m, h = iterate(m0, h0, int(diff))
-            assert h == genus(cat, c).h_ext
+            if h != genus(cat, c).h_ext:
+                raise RuntimeError(
+                    f"recurrence reached h = {h} at ({cat.id}, {c}), "
+                    f"but the genus has h_ext = {genus(cat, c).h_ext}"
+                )
             return m
     raise ValueError(
         f"c not in category's class mod 8: {cat.id} needs c = {cat.c_mod8} (mod 8), got {c}"

@@ -3,7 +3,7 @@
 Subcommands: catalog, bounds, classify, character, chi, rm.  Output is
 deterministic and byte-stable per (arguments, format); the version line
 goes to stderr so stdout stays clean for diffing.  Exit codes: 0 success,
-1 verification mismatch, 2 usage error.
+1 verification mismatch or internal inconsistency, 2 bad arguments.
 """
 
 from __future__ import annotations
@@ -34,12 +34,18 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 
-def _chi_json(m: CharMatrix) -> dict[str, str]:
-    return m.to_json()
-
-
-def _coeff_str(value: Fraction) -> str:
-    return str(value)
+def _encode(value):
+    """JSON-ready form of ``value``: rationals as canonical ``p/q`` strings,
+    characteristic matrices as their four entries, through lists and dicts."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, CharMatrix):
+        return value.to_json()
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _encode(v) for k, v in value.items()}
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -63,86 +69,45 @@ def catalog_data() -> list[dict]:
     return rows
 
 
-def bounds_summary_data(only: str | None = None) -> list[dict]:
+def bounds_data(table: str, only: str | None = None) -> list[dict]:
+    """One of the three bound tables; ``only`` restricts the summary to a category."""
+    if table != "summary":
+        return _encode(bounds.positive_table() if table == "nmax-positive"
+                       else bounds.negative_table())
     rows = []
     for cat in CATALOG:
-        if only and cat.id != only:
-            continue
-        c_min, c_max = bounds.c_extremes(cat)
-        rows.append({"category": cat.id, "c_min": str(c_min), "c_max": str(c_max)})
-    return rows
+        if only in (None, cat.id):
+            c_min, c_max = bounds.c_extremes(cat)
+            rows.append({"category": cat.id, "c_min": c_min, "c_max": c_max})
+    return _encode(rows)
 
 
-def nmax_positive_data() -> list[dict]:
-    return [
-        {
-            "category": row["category"],
-            "c": str(row["c"]),
-            "chi": _chi_json(row["chi"]),
-            "h_ext": str(row["h_ext"]),
-            "n_max": row["n_max"],
-        }
-        for row in bounds.positive_table()
-    ]
-
-
-def nmax_negative_data() -> list[dict]:
-    return [
-        {
-            "category": row["category"],
-            "c": str(row["c"]),
-            "chi": _chi_json(row["chi"]),
-            "h_ext": str(row["h_ext"]),
-            "alpha": str(row["alpha"]),
-            "beta": str(row["beta"]),
-            "n_max": row["n_max"],
-            "chi10": str(row["chi10"]),
-        }
-        for row in bounds.negative_table()
-    ]
-
-
-def classify_data(only: str | None = None) -> list[dict]:
-    rows = []
-    for r in classify.classify_all():
-        if only and r.category.id != only:
-            continue
-        rows.append(
-            {
-                "category": r.category.id,
-                "c": str(r.c),
-                "h_ext": str(r.h_ext),
-                "ell": r.ell,
-                "chi": _chi_json(r.chi),
-                "realization": r.realization_note,
-            }
-        )
-    return rows
+def classify_data(rows: list[classify.ClassificationRow], only: str | None = None) -> list[dict]:
+    return _encode([
+        {"category": r.category.id, "c": r.c, "h_ext": r.h_ext, "ell": r.ell,
+         "chi": r.chi, "realization": r.realization_note}
+        for r in rows if only in (None, r.category.id)
+    ])
 
 
 def character_data(cat_id: str, c: Fraction, order: int) -> dict:
     cat = category(cat_id)
     g = genus(cat, c)
     vec = character_vector(expand(g, chi_of(cat, c), order))
-    return {
+    return _encode({
         "category": cat.id,
-        "c": str(c),
-        "exponent0": str(vec.exponent0),
-        "exponent1": str(vec.exponent1),
-        "series0": [_coeff_str(v) for v in vec.series0],
-        "series1": [_coeff_str(v) for v in vec.series1],
-    }
+        "c": c,
+        "exponent0": vec.exponent0,
+        "exponent1": vec.exponent1,
+        "series0": vec.series0,
+        "series1": vec.series1,
+    })
 
 
 def chi_data(cat_id: str, c: Fraction) -> dict:
     cat = category(cat_id)
     g = genus(cat, c)
-    return {
-        "category": cat.id,
-        "c": str(c),
-        "h_ext": str(g.h_ext),
-        "chi": _chi_json(chi_of(cat, c)),
-    }
+    return _encode({"category": cat.id, "c": c, "h_ext": g.h_ext, "chi": chi_of(cat, c)})
 
 
 def rm_data() -> dict:
@@ -154,19 +119,17 @@ def rm_data() -> dict:
     rm24_is_dual = codes.rm24.dim == dual_of_rm14.dim and all(
         w in codes.rm24 for w in dual_of_rm14.basis
     )
-    return {
+    return _encode({
         "dims": {"rm14": codes.rm14.dim, "rm24": codes.rm24.dim,
                  "rm16": codes.rm16.dim, "rm46": codes.rm46.dim},
-        "rm16_weight_enumerator": {
-            str(k): v for k, v in weight_enumerator(codes.rm16).items()
-        },
+        "rm16_weight_enumerator": weight_enumerator(codes.rm16),
         "rm24_equals_rm14_dual": rm24_is_dual,
         "rm46_min_weight": min_w,
         "rm46_min_weight_witness": str(witness),
         "weight6_count": sweep.weight6_count,
         "lemma_sweep_conditions_pass": sweep.all_conditions_pass,
         "lemma_sweep_cosets_match": sweep.all_cosets_match,
-        "coset_enumerator": {str(k): v for k, v in sweep.coset_enumerator.items()},
+        "coset_enumerator": sweep.coset_enumerator,
         "xi": str(cert.xi),
         "xi_alpha": str(cert.xi.blocks(4)[0]),
         "xi_conditions": {
@@ -178,8 +141,8 @@ def rm_data() -> dict:
             "doubly_even": cert.conditions.doubly_even_ok,
         },
         "min_coset_weight": cert.min_coset_weight,
-        "top_weight": str(cert.top_weight),
-    }
+        "top_weight": cert.top_weight,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -190,40 +153,41 @@ def _render_json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _render_csv(rows: list[dict]) -> str:
+def _flatten(rows: list[dict]) -> list[dict]:
+    """Table rows with each nested dict spread into ``key_sub`` columns."""
     flat_rows = []
     for row in rows:
         flat = {}
         for key, val in row.items():
             if isinstance(val, dict):
-                for sub, sval in val.items():
-                    flat[f"{key}_{sub}"] = sval
+                flat.update({f"{key}_{sub}": sval for sub, sval in val.items()})
             else:
                 flat[key] = val
         flat_rows.append(flat)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(flat_rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(flat_rows)
-    return buf.getvalue()
+    return flat_rows
 
 
-def _render_md_table(rows: list[dict]) -> str:
-    # flatten nested dicts the same way the csv renderer does
-    flat_rows = []
-    for row in rows:
-        item = {}
-        for key, val in row.items():
-            if isinstance(val, dict):
-                for sub, sval in val.items():
-                    item[f"{key}_{sub}"] = sval
-            else:
-                item[key] = val
-        flat_rows.append(item)
-    headers = list(flat_rows[0].keys())
+def _render(data, fmt: str, md=None) -> str:
+    """``data`` as ``fmt`` text.  Markdown uses ``md`` when given; otherwise,
+    like csv, it draws ``data`` (a list of rows, or one row) as a table.
+    A table without rows renders as nothing."""
+    if fmt == "json":
+        return _render_json(data)
+    if md is not None:
+        return md(data)
+    rows = _flatten(data if isinstance(data, list) else [data])
+    if not rows:
+        return ""
+    headers = list(rows[0])
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=headers, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        return buf.getvalue()
     lines = ["| " + " | ".join(headers) + " |",
              "| " + " | ".join("---" for _ in headers) + " |"]
-    for row in flat_rows:
+    for row in rows:
         lines.append("| " + " | ".join(str(row[h]) for h in headers) + " |")
     return "\n".join(lines) + "\n"
 
@@ -283,13 +247,33 @@ def _load_fixture(name: str):
     return json.loads(path.read_text())
 
 
-def _check_against(data, fixture_name: str, key: str | None = None) -> int:
-    fixture = _load_fixture(fixture_name)
-    expected = fixture[key] if key else fixture
-    if data == expected:
+_BOUNDS_FIXTURES = {"summary": "bounds_summary.json", "nmax-positive": "nmax_positive.json",
+                    "nmax-negative": "nmax_negative.json"}
+
+
+def _verdict(ok: bool, fixture_name: str) -> int:
+    if ok:
         print("check passed", file=sys.stderr)
         return EXIT_OK
     print(f"check FAILED against fixtures/{fixture_name}", file=sys.stderr)
+    return EXIT_MISMATCH
+
+
+def _check_against(data, fixture_name: str) -> int:
+    """Compare ``data`` with a fixture: a table with its ``rows``, a document whole."""
+    fixture = _load_fixture(fixture_name)
+    return _verdict(data == (fixture["rows"] if isinstance(data, list) else fixture),
+                    fixture_name)
+
+
+def _check_character(data: dict) -> int:
+    """Compare ``data`` with its characters.json row, which holds a prefix of each series."""
+    for row in _load_fixture("characters.json")["rows"]:
+        if (row["category"], row["c"]) == (data["category"], data["c"]):
+            prefix = {k: v[: len(row[k])] if k.startswith("series") else v
+                      for k, v in data.items()}
+            return _verdict(prefix == row, "characters.json")
+    print("no fixture row for this genus", file=sys.stderr)
     return EXIT_MISMATCH
 
 
@@ -362,103 +346,50 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     print(f"extremal2 {__version__}", file=sys.stderr)
+    # chi entries grow by about 6 digits per 24-step in c, so output has no
+    # digit limit (interpreters without the limit lack the function)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
+    # bad arguments are the only way to exit 2
+    only = getattr(args, "category", None)
     try:
-        if args.command == "catalog":
-            data = catalog_data()
-            text = {"json": _render_json, "csv": _render_csv, "md": _render_md_table}[
-                args.format
-            ](data)
-            _emit(text, args.out)
-            if args.check:
-                return _check_against(data, "catalog.json", "rows")
-            return EXIT_OK
-
-        if args.command == "bounds":
-            if args.category is not None:
-                category(args.category)  # validate id
-            if args.table == "summary":
-                data = bounds_summary_data(args.category)
-                fixture = ("bounds_summary.json", "rows") if args.category is None else None
-            elif args.table == "nmax-positive":
-                data = nmax_positive_data()
-                fixture = ("nmax_positive.json", "rows")
-            else:
-                data = nmax_negative_data()
-                fixture = ("nmax_negative.json", "rows")
-            text = {"json": _render_json, "csv": _render_csv, "md": _render_md_table}[
-                args.format
-            ](data)
-            _emit(text, args.out)
-            if args.check:
-                if fixture is None:
-                    parser.error("--check requires the unrestricted table")
-                return _check_against(data, *fixture)
-            return EXIT_OK
-
-        if args.command == "classify":
-            if args.category is not None:
-                category(args.category)
-            data = classify_data(args.category)
-            text = {"json": _render_json, "csv": _render_csv, "md": _render_md_table}[
-                args.format
-            ](data)
-            _emit(text, args.out)
-            # always self-verify the full classification against the embedded table
-            if not classify.matches_golden(classify.classify_all()):
-                print("classification differs from the embedded golden table",
-                      file=sys.stderr)
-                return EXIT_MISMATCH
-            if args.check and args.category is None:
-                return _check_against(data, "classify.json", "rows")
-            return EXIT_OK
-
-        if args.command == "character":
-            if args.order < 1:
-                parser.error("--order must be at least 1")
-            data = character_data(args.category, args.c, args.order)
-            text = _render_json(data) if args.format == "json" else _render_character_md(data)
-            _emit(text, args.out)
-            if args.check:
-                return _check_character(data)
-            return EXIT_OK
-
-        if args.command == "chi":
-            data = chi_data(args.category, args.c)
-            text = _render_json(data) if args.format == "json" else _render_md_table([data])
-            _emit(text, args.out)
-            return EXIT_OK
-
-        if args.command == "rm":
-            data = rm_data()
-            text = _render_json(data) if args.format == "json" else _render_rm_md(data)
-            _emit(text, args.out)
-            if args.check:
-                return _check_against(data, "rm_verify.json")
-            return EXIT_OK
+        cat = None if only is None else category(only)
+        if args.command in ("character", "chi"):
+            genus(cat, args.c)
+        if getattr(args, "order", 1) < 1:
+            raise ValueError("--order must be at least 1")
+        if args.command == "bounds" and args.check and only and args.table == "summary":
+            raise ValueError("--check requires the unrestricted table")
     except ValueError as exc:
         parser.error(str(exc))
 
-    raise AssertionError("unreachable")
+    md = fixture = None
+    if args.command == "catalog":
+        data, fixture = catalog_data(), "catalog.json"
+    elif args.command == "bounds":
+        data, fixture = bounds_data(args.table, only), _BOUNDS_FIXTURES[args.table]
+    elif args.command == "classify":
+        rows = classify.classify_all()
+        data = classify_data(rows, only)
+        fixture = "classify.json" if only is None else None
+    elif args.command == "character":
+        data, md = character_data(only, args.c, args.order), _render_character_md
+    elif args.command == "chi":
+        data = chi_data(only, args.c)
+    else:
+        data, md, fixture = rm_data(), _render_rm_md, "rm_verify.json"
+    _emit(_render(data, args.format, md), args.out)
 
-
-def _check_character(data: dict) -> int:
-    rows = _load_fixture("characters.json")["rows"]
-    for row in rows:
-        if row["category"] == data["category"] and row["c"] == data["c"]:
-            ok = (
-                row["exponent0"] == data["exponent0"]
-                and row["exponent1"] == data["exponent1"]
-                and row["series0"] == data["series0"][: len(row["series0"])]
-                and row["series1"] == data["series1"][: len(row["series1"])]
-            )
-            if ok:
-                print("check passed", file=sys.stderr)
-                return EXIT_OK
-            print("check FAILED against fixtures/characters.json", file=sys.stderr)
-            return EXIT_MISMATCH
-    print("no fixture row for this genus", file=sys.stderr)
-    return EXIT_MISMATCH
+    # the full classification always self-verifies against the embedded table
+    if args.command == "classify" and not classify.matches_golden(rows):
+        print("classification differs from the embedded golden table", file=sys.stderr)
+        return EXIT_MISMATCH
+    if not args.check:
+        return EXIT_OK
+    if args.command == "character":
+        return _check_character(data)
+    return EXIT_OK if fixture is None else _check_against(data, fixture)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,15 @@ def test_chi_of_matches_seeds_and_iterates():
         chi_of("semion", 2)
 
 
+def test_chi_of_rejects_a_walk_that_misses_h_ext(monkeypatch):
+    # a raised error, not an assert, so the check survives python -O
+    import extremal2.classify as classify_mod
+
+    monkeypatch.setattr(classify_mod, "iterate", lambda m, h, n: (m, h + 1))
+    with pytest.raises(RuntimeError, match="h_ext"):
+        chi_of("semion", 25)
+
+
 def test_candidate_charges_for_semion():
     cs = {c for c, _, _ in candidates("semion")}
     assert cs == {-23, 1, 25, 49, -15, 9, 33, 57, -7, 17, 41}

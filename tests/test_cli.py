@@ -1,19 +1,51 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from extremal2 import classify, cli
+from extremal2.chimat import alpha_beta, g_closed, k_closed, seed_rows
+from extremal2.genus import CATALOG
+
 PKG = [sys.executable, "-m", "extremal2"]
+# Stdout digests of the seed commit, kept with the benchmark (read only here).
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def run_cli(*args: str):
     return subprocess.run(
         PKG + list(args), capture_output=True, text=True, timeout=300
     )
+
+
+def run_main(*args: str) -> tuple[int, str]:
+    """Exit code and stdout of ``cli.main`` run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(list(args))
+    return rc, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def classified():
+    return classify.classify_all()
+
+
+@pytest.fixture
+def classify_calls(monkeypatch, classified):
+    """Serve ``classify_all`` from one shared result and record each call."""
+    calls = []
+    monkeypatch.setattr(classify, "classify_all", lambda *a: calls.append(a) or classified)
+    return calls
 
 
 def fixture(name: str):
@@ -125,3 +157,47 @@ def test_out_writes_file(tmp_path):
     assert res.returncode == 0
     assert res.stdout == ""
     assert json.loads(target.read_text()) == fixture("catalog.json")["rows"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+@pytest.mark.parametrize("cat", [cat.id for cat in CATALOG])
+def test_classify_per_category_exits_0_even_when_empty(cat, fmt, classify_calls):
+    rc, out = run_main("classify", "--category", cat, "--format", fmt)
+    assert rc == 0
+    assert len(classify_calls) == 1
+    n = sum(row[0] == cat for row in classify.GOLDEN_GENERA)
+    if fmt == "json":
+        assert len(json.loads(out)) == n
+    else:
+        assert len(out.splitlines()) == (n + {"csv": 1, "md": 2}[fmt] if n else 0)
+    if cat in ("semion-dagger", "semion-bar-dagger", "yang-lee-bar"):
+        assert out == ("[]\n" if fmt == "json" else "")
+
+
+def test_tables_reproduce_the_seed_digests(classify_calls):
+    outputs = json.loads(EXPECTED.read_text())["outputs"]
+    keys = [key for key in outputs
+            if key.split()[0] in ("catalog", "bounds") or key.startswith("classify --format")]
+    assert len(keys) == 3 + 33 + 3
+    for key in keys:
+        for check in ([], ["--check"]) if key.startswith("classify") else ([],):
+            rc, out = run_main(*key.split(), *check)
+            assert rc == 0, key
+            assert hashlib.sha256(out.encode()).hexdigest()[:20] == outputs[key]["sha256"], key
+    assert len(classify_calls) == 6
+
+
+@pytest.mark.parametrize("c, steps", [("24001", 1000), ("-23999", -1000)])
+def test_chi_far_from_the_window_has_no_digit_limit(c, steps):
+    rc, out = run_main("chi", "--category", "semion", f"--c={c}")
+    assert rc == 0
+    data = json.loads(out)
+    x, y, z, w = (Fraction(data["chi"][k]) for k in "xyzw")
+    assert max(len(v) for v in data["chi"].values()) > 4300
+    ((c0, m0, h0),) = [row for row in seed_rows("semion") if row[0] == 1]
+    h = Fraction(data["h_ext"])
+    if steps > 0:
+        assert (x, w, h) == g_closed(m0.x, m0.w, h0, steps)
+    else:
+        ab, h_n = k_closed(alpha_beta(m0), h0, -steps)
+        assert (x - w, z * y, h) == (ab.alpha, ab.beta, h_n)

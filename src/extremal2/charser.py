@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chimat import CharMatrix
-from .exactq import QSeries, j_and_script_e
+from .exactq import QSeries, ode_series
 from .genus import Genus
 
 __all__ = [
@@ -63,7 +63,7 @@ def _mmul(p: Mat2, q: Mat2) -> Mat2:
     )  # type: ignore[return-value]
 
 
-def _mscale(s: Fraction, p: Mat2) -> Mat2:
+def _mscale(s: int | Fraction, p: Mat2) -> Mat2:
     return tuple(tuple(s * e for e in row) for row in p)  # type: ignore[return-value]
 
 
@@ -79,9 +79,7 @@ def d_coefficients(g: Genus, m: CharMatrix, order: int) -> list[Mat2]:
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    j, script_e = j_and_script_e(order + 3)
-    inv_e = script_e.invert()
-    ratio = (j - 240) * inv_e
+    a, b = ode_series(order + 1)
     lam = (g.lambda0, g.lambda1)
     lam_minus_id: Mat2 = (
         (lam[0] - 1, _ZERO),
@@ -94,7 +92,7 @@ def d_coefficients(g: Genus, m: CharMatrix, order: int) -> list[Mat2]:
     )  # type: ignore[assignment]
     out = []
     for n in range(order + 1):
-        out.append(_madd(_mscale(ratio.coeff(n), lam_minus_id), _mscale(inv_e.coeff(n), comm)))
+        out.append(_madd(_mscale(a[n], lam_minus_id), _mscale(b[n], comm)))
     return out
 
 

@@ -70,16 +70,13 @@ def catalog_data() -> list[dict]:
 
 
 def bounds_data(table: str, only: str | None = None) -> list[dict]:
-    """One of the three bound tables; ``only`` restricts the summary to a category."""
-    if table != "summary":
-        return _encode(bounds.positive_table() if table == "nmax-positive"
-                       else bounds.negative_table())
-    rows = []
-    for cat in CATALOG:
-        if only in (None, cat.id):
-            c_min, c_max = bounds.c_extremes(cat)
-            rows.append({"category": cat.id, "c_min": c_min, "c_max": c_max})
-    return _encode(rows)
+    """One of the three bound tables; ``only`` restricts its rows to a category."""
+    if table == "summary":
+        rows = [{"category": cat.id, "c_min": c_min, "c_max": c_max}
+                for cat in CATALOG for c_min, c_max in [bounds.c_extremes(cat)]]
+    else:
+        rows = bounds.positive_table() if table == "nmax-positive" else bounds.negative_table()
+    return _encode([row for row in rows if only in (None, row["category"])])
 
 
 def classify_data(rows: list[classify.ClassificationRow], only: str | None = None) -> list[dict]:
@@ -259,11 +256,13 @@ def _verdict(ok: bool, fixture_name: str) -> int:
     return EXIT_MISMATCH
 
 
-def _check_against(data, fixture_name: str) -> int:
-    """Compare ``data`` with a fixture: a table with its ``rows``, a document whole."""
+def _check_against(data, fixture_name: str, only: str | None = None) -> int:
+    """Compare ``data`` with a fixture: a table with its ``rows`` (those of
+    category ``only`` when given), a document whole."""
     fixture = _load_fixture(fixture_name)
-    return _verdict(data == (fixture["rows"] if isinstance(data, list) else fixture),
-                    fixture_name)
+    if isinstance(data, list):
+        fixture = [row for row in fixture["rows"] if only is None or row["category"] == only]
+    return _verdict(data == fixture, fixture_name)
 
 
 def _check_character(data: dict) -> int:
@@ -296,18 +295,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"extremal2 {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("json", "csv", "md")):
+    def add_common(p, formats=("json", "csv", "md"), check=True):
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--check", action="store_true",
-                       help="compare regenerated output against the bundled fixture")
+        if check:
+            p.add_argument("--check", action="store_true",
+                           help="compare regenerated output against the bundled fixture")
 
     p_catalog = sub.add_parser("catalog", help="the 8 rank-two categories")
     add_common(p_catalog)
 
     p_bounds = sub.add_parser("bounds", help="central-charge bounds")
     p_bounds.add_argument("category", nargs="?", default=None,
-                          help="restrict the summary to one category id")
+                          help="restrict the table to one category id")
     p_bounds.add_argument("--table", choices=("summary", "nmax-positive", "nmax-negative"),
                           default="summary")
     add_common(p_bounds)
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chi = sub.add_parser("chi", help="characteristic matrix of a genus")
     p_chi.add_argument("--category", required=True)
     p_chi.add_argument("--c", required=True, type=_parse_fraction)
-    add_common(p_chi, formats=("json", "md"))
+    add_common(p_chi, formats=("json", "md"), check=False)
 
     p_rm = sub.add_parser("rm", help="binary-code certificates")
     p_rm.add_argument("action", choices=("verify",))
@@ -359,8 +359,6 @@ def main(argv: list[str] | None = None) -> int:
             genus(cat, args.c)
         if getattr(args, "order", 1) < 1:
             raise ValueError("--order must be at least 1")
-        if args.command == "bounds" and args.check and only and args.table == "summary":
-            raise ValueError("--check requires the unrestricted table")
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -371,8 +369,7 @@ def main(argv: list[str] | None = None) -> int:
         data, fixture = bounds_data(args.table, only), _BOUNDS_FIXTURES[args.table]
     elif args.command == "classify":
         rows = classify.classify_all()
-        data = classify_data(rows, only)
-        fixture = "classify.json" if only is None else None
+        data, fixture = classify_data(rows, only), "classify.json"
     elif args.command == "character":
         data, md = character_data(only, args.c, args.order), _render_character_md
     elif args.command == "chi":
@@ -385,11 +382,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "classify" and not classify.matches_golden(rows):
         print("classification differs from the embedded golden table", file=sys.stderr)
         return EXIT_MISMATCH
-    if not args.check:
+    if not getattr(args, "check", False):
         return EXIT_OK
     if args.command == "character":
         return _check_character(data)
-    return EXIT_OK if fixture is None else _check_against(data, fixture)
+    return _check_against(data, fixture, only)
 
 
 if __name__ == "__main__":

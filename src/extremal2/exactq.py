@@ -1,27 +1,28 @@
-"""Exact truncated Laurent series in q with rational coefficients.
+"""Exact q-series: integer modular forms and rational truncated Laurent series.
 
 Everything downstream of this module decides integrality and positivity
-questions exactly, so no floating point is allowed here.  A series knows
-its lowest power ``lead`` and the first untrusted power ``trunc``;
-arithmetic shrinks the trusted window instead of erroring.
+questions exactly, so no floating point is allowed here.
 
-The module also builds the specific series the classification pipeline
-needs: the Eisenstein series E4 and E6, the discriminant form
-Delta = (E4^3 - E6^2)/1728, the normalized Hauptmodul
-J = E4^3/Delta - 744 (constant term zero), and the weight-minus-two
-combination E4*E6/Delta = q^-1 - 240 - 141444q - ... that drives the
-character recursion.
+The modular forms are integer power series, held as plain lists: the
+Eisenstein series E4 and E6, the discriminant form
+Delta = (E4^3 - E6^2)/1728, and from them the two series that drive the
+character recursion, the q^n coefficients of (J - 240)/E and 1/E, where
+J = E4^3/Delta - 744 is the normalized Hauptmodul and
+E = E4*E6/Delta = q^-1 - 240 - 141444q - ... (``ode_series``).
+
+``QSeries`` carries characters and their offsets: a series with rational
+coefficients that knows its lowest power ``lead`` and the first untrusted
+power ``trunc``; arithmetic shrinks the trusted window instead of erroring.
+``eisenstein``, ``delta`` and ``j_and_script_e`` return the forms in that
+shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-Scalar = Union[int, Fraction]
-
-__all__ = ["QSeries", "sigma", "eisenstein", "delta", "j_and_script_e"]
+__all__ = ["QSeries", "ode_series", "eisenstein", "delta", "j_and_script_e"]
 
 
 @dataclass(frozen=True)
@@ -58,11 +59,11 @@ class QSeries:
         return cls(trunc, (), trunc)
 
     @classmethod
-    def constant(cls, value: Scalar, trunc: int) -> "QSeries":
+    def constant(cls, value: int | Fraction, trunc: int) -> "QSeries":
         return cls.monomial(value, 0, trunc)
 
     @classmethod
-    def monomial(cls, value: Scalar, power: int, trunc: int) -> "QSeries":
+    def monomial(cls, value: int | Fraction, power: int, trunc: int) -> "QSeries":
         if power >= trunc:
             raise ValueError("monomial power lies beyond the truncation")
         pad = [Fraction(0)] * (trunc - power - 1)
@@ -81,14 +82,6 @@ class QSeries:
             return Fraction(0)
         return self.coeffs[n - self.lead]
 
-    def truncate(self, new_trunc: int) -> "QSeries":
-        """Shrink the trusted window to powers < new_trunc."""
-        if new_trunc > self.trunc:
-            raise ValueError("cannot extend the trusted window")
-        if new_trunc <= self.lead:
-            return QSeries.zero(new_trunc)
-        return QSeries(self.lead, self.coeffs[: new_trunc - self.lead], new_trunc)
-
     def __str__(self) -> str:
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -106,41 +99,21 @@ class QSeries:
 
     # -- ring operations --------------------------------------------------
 
-    def _add_scalar(self, s: Scalar) -> "QSeries":
-        return self + QSeries.constant(s, self.trunc)
-
-    def __add__(self, other: "QSeries | Scalar") -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return self._add_scalar(other)
+    def __add__(self, other: "QSeries") -> "QSeries":
         lead = min(self.lead, other.lead)
         trunc = min(self.trunc, other.trunc)
         if trunc <= lead:
             return QSeries.zero(trunc)
-        out = [
-            self.coeff(n) + other.coeff(n) if n < trunc else Fraction(0)
-            for n in range(lead, trunc)
-        ]
+        out = [self.coeff(n) + other.coeff(n) for n in range(lead, trunc)]
         return QSeries(lead, tuple(out), trunc)
-
-    def __radd__(self, other: Scalar) -> "QSeries":
-        return self + other
 
     def __neg__(self) -> "QSeries":
         return QSeries(self.lead, tuple(-c for c in self.coeffs), self.trunc)
 
-    def __sub__(self, other: "QSeries | Scalar") -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return self._add_scalar(-Fraction(other))
+    def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
 
-    def __rsub__(self, other: Scalar) -> "QSeries":
-        return (-self) + other
-
-    def __mul__(self, other: "QSeries | Scalar") -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return QSeries(
-                self.lead, tuple(Fraction(other) * c for c in self.coeffs), self.trunc
-            )
+    def __mul__(self, other: "QSeries") -> "QSeries":
         # The first unknown power of the product is governed by the first
         # unknown power of either factor shifted by the other's lead.
         trunc = min(self.trunc + other.lead, other.trunc + self.lead)
@@ -157,19 +130,6 @@ class QSeries:
                     break
                 out[k] += a * b
         return QSeries(lead, tuple(out), trunc)
-
-    def __rmul__(self, other: Scalar) -> "QSeries":
-        return self * other
-
-    def __pow__(self, n: int) -> "QSeries":
-        if n < 0:
-            return self.invert() ** (-n)
-        if n == 0:
-            return QSeries.constant(1, self.trunc - self.lead)
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse b with self*b = 1 through the window.
@@ -191,48 +151,76 @@ class QSeries:
         lead = -self.lead
         return QSeries(lead, tuple(b), lead + k)
 
-    def __truediv__(self, other: "QSeries | Scalar") -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        return self * other.invert()
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer power series, to the shorter length."""
+    n = min(len(a), len(b))
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i]):
+                out[i + j] += x * y
+    return out
 
 
-def sigma(n: int, k: int) -> int:
-    """Divisor power sum sigma_k(n) by trial division."""
-    if n < 1:
-        raise ValueError("sigma is defined for n >= 1")
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d**k
-            e = n // d
-            if e != d:
-                total += e**k
-        d += 1
-    return total
+def _div(a: list[int], b: list[int]) -> list[int]:
+    """Quotient a/b of integer power series with b[0] == 1, to the shorter length."""
+    if b[0] != 1:
+        raise ValueError("the divisor needs constant term 1")
+    out: list[int] = []
+    for m in range(min(len(a), len(b))):
+        out.append(a[m] - sum(b[i] * out[m - i] for i in range(1, m + 1)))
+    return out
 
 
-def eisenstein(k: int, n_terms: int) -> QSeries:
-    """Eisenstein series E4 or E6 with ``n_terms`` exact coefficients.
+def _eisenstein(k: int, n_terms: int) -> list[int]:
+    """E4 = 1 + 240 sum sigma_3(n) q^n or E6 = 1 - 504 sum sigma_5(n) q^n.
 
-    E4 = 1 + 240 sum sigma_3(n) q^n and E6 = 1 - 504 sum sigma_5(n) q^n.
+    The divisor sums come from a sieve: each d adds d^(k-1) to its multiples.
     """
     if k not in (4, 6):
         raise ValueError("only weights 4 and 6 are supported")
     if n_terms < 1:
         raise ValueError("need at least one term")
-    mult, power = (240, 3) if k == 4 else (-504, 5)
-    coeffs = [Fraction(1)]
-    coeffs += [Fraction(mult * sigma(n, power)) for n in range(1, n_terms)]
-    return QSeries(0, tuple(coeffs), n_terms)
+    mult = 240 if k == 4 else -504
+    coeffs = [1] + [0] * (n_terms - 1)
+    for d in range(1, n_terms):
+        term = mult * d ** (k - 1)
+        for n in range(d, n_terms, d):
+            coeffs[n] += term
+    return coeffs
+
+
+def _forms(n_terms: int) -> tuple[list[int], list[int], list[int]]:
+    """E4^3, E4*E6 and Delta = (E4^3 - E6^2)/1728 through q^(n_terms - 1)."""
+    e4, e6 = _eisenstein(4, n_terms), _eisenstein(6, n_terms)
+    e4_cubed = _mul(_mul(e4, e4), e4)
+    diff = [x - y for x, y in zip(e4_cubed, _mul(e6, e6))]
+    if any(c % 1728 for c in diff):
+        raise ArithmeticError("E4^3 - E6^2 is not divisible by 1728")
+    return e4_cubed, _mul(e4, e6), [c // 1728 for c in diff]
+
+
+def ode_series(n_terms: int) -> tuple[list[int], list[int]]:
+    """The q^0 .. q^(n_terms - 1) coefficients a_n of (J - 240)/E and b_n of 1/E.
+
+    With J = E4^3/Delta - 744 and E = E4*E6/Delta these are the integer
+    power series (E4^3 - 984 Delta)/(E4*E6) and Delta/(E4*E6), whose common
+    divisor E4*E6 = 1 - 264q - ... has constant term 1.
+    """
+    e4_cubed, e4e6, dlt = _forms(n_terms)
+    a = _div([x - 984 * d for x, d in zip(e4_cubed, dlt)], e4e6)
+    return a, _div(dlt, e4e6)
+
+
+def eisenstein(k: int, n_terms: int) -> QSeries:
+    """Eisenstein series E4 or E6 with ``n_terms`` exact coefficients."""
+    return QSeries(0, tuple(_eisenstein(k, n_terms)), n_terms)
 
 
 def delta(n_terms: int) -> QSeries:
     """The discriminant form (E4^3 - E6^2)/1728, leading term q."""
-    e4 = eisenstein(4, n_terms)
-    e6 = eisenstein(6, n_terms)
-    return (e4**3 - e6**2) / 1728
+    return QSeries(0, tuple(_forms(n_terms)[2]), n_terms)
 
 
 def j_and_script_e(n_terms: int) -> tuple[QSeries, QSeries]:
@@ -243,11 +231,8 @@ def j_and_script_e(n_terms: int) -> tuple[QSeries, QSeries]:
     """
     if n_terms < 2:
         raise ValueError("need at least two terms")
-    m = n_terms + 2
-    e4 = eisenstein(4, m)
-    e6 = eisenstein(6, m)
-    dlt = (e4**3 - e6**2) / 1728
-    inv = dlt.invert()
-    j = e4**3 * inv - 744
-    script_e = e4 * e6 * inv
-    return j.truncate(n_terms - 1), script_e.truncate(n_terms - 1)
+    e4_cubed, e4e6, dlt = _forms(n_terms + 1)
+    j = _div(e4_cubed, dlt[1:])  # Delta/q has constant term 1
+    j[1] -= 744
+    script_e = _div(e4e6, dlt[1:])
+    return QSeries(-1, tuple(j), n_terms - 1), QSeries(-1, tuple(script_e), n_terms - 1)

@@ -58,6 +58,7 @@ def test_catalog_json_matches_fixture_rows():
     res = run_cli("catalog", "--format", "json")
     assert res.returncode == 0
     assert json.loads(res.stdout) == fixture("catalog.json")["rows"]
+    assert run_main("catalog", "--check")[0] == 0
 
 
 def test_version_goes_to_stderr_not_stdout():
@@ -201,3 +202,45 @@ def test_chi_far_from_the_window_has_no_digit_limit(c, steps):
     else:
         ab, h_n = k_closed(alpha_beta(m0), h0, -steps)
         assert (x - w, z * y, h) == (ab.alpha, ab.beta, h_n)
+
+
+@pytest.mark.parametrize("cat, n", [("semion", 4), ("semion-dagger", 0)])
+def test_classify_category_check_compares_its_fixture_rows(cat, n, classify_calls, capsys):
+    assert cli.main(["classify", "--category", cat, "--check"]) == 0
+    out, err = capsys.readouterr()
+    rows = json.loads(out)
+    assert len(rows) == n
+    assert rows == [r for r in fixture("classify.json")["rows"] if r["category"] == cat]
+    assert "check passed" in err
+
+
+@pytest.mark.parametrize("table, n", [("summary", 1), ("nmax-positive", 3), ("nmax-negative", 3)])
+def test_bounds_category_filters_every_table(table, n, capsys):
+    assert cli.main(["bounds", "semion", "--table", table, "--format", "csv", "--check"]) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 1 + n
+    assert all(line.startswith("semion,") for line in lines[1:])
+    assert "check passed" in err
+
+
+@pytest.mark.parametrize("argv", [("classify", "--category", "semion"),
+                                  ("bounds", "semion", "--table", "nmax-negative")])
+def test_category_check_fails_on_a_tampered_fixture(argv, monkeypatch, classify_calls, capsys):
+    real = cli._load_fixture
+
+    def tampered(name):
+        data = real(name)
+        data["rows"][0]["tampered"] = True  # the first row of every table is semion's
+        return data
+
+    monkeypatch.setattr(cli, "_load_fixture", tampered)
+    assert cli.main([*argv, "--check"]) == 1
+    assert "check FAILED" in capsys.readouterr().err
+
+
+def test_chi_has_no_check_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["chi", "--category", "semion", "--c", "1", "--check"])
+    assert exc.value.code == 2
+    assert "--check" in capsys.readouterr().err

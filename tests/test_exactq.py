@@ -3,8 +3,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from extremal2.exactq import QSeries, delta, eisenstein, j_and_script_e, sigma
+from extremal2 import exactq
+from extremal2.exactq import QSeries, _div, _mul, delta, eisenstein, j_and_script_e, ode_series
 
 from conftest import random_fraction
 
@@ -21,7 +24,7 @@ def convolve_oracle(a: list[Fraction], b: list[Fraction], terms: int) -> list[Fr
     out = [Fraction(0)] * terms
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
-            if i + j < terms:
+            if i + j < terms and ai and bj:
                 out[i + j] += ai * bj
     return out
 
@@ -122,9 +125,11 @@ def test_mul_inverse_roundtrip_on_random_series(rng):
 
 
 def test_sigma_against_bruteforce():
+    # the Eisenstein coefficients are divisor sums, read off a sieve
+    e4, e6 = eisenstein(4, 65), eisenstein(6, 65)
     for n in range(1, 65):
-        for k in (3, 5):
-            assert sigma(n, k) == sigma_oracle(n, k)
+        assert e4.coeff(n) == 240 * sigma_oracle(n, 3)
+        assert e6.coeff(n) == -504 * sigma_oracle(n, 5)
 
 
 def test_eisenstein_small_expansions():
@@ -187,3 +192,40 @@ def test_script_e_is_e4e6_over_delta():
 def test_j_needs_two_terms():
     with pytest.raises(ValueError):
         j_and_script_e(1)
+
+
+def test_ode_series_against_oracles():
+    # (J - 240)/E = (E4^3 - 984 Delta)/(E4 E6) and 1/E = Delta/(E4 E6),
+    # rebuilt here from divisor sums, eta^24 and schoolbook division
+    terms = 41
+    e4 = [Fraction(240 * sigma_oracle(n, 3)) if n else Fraction(1) for n in range(terms)]
+    e6 = [Fraction(-504 * sigma_oracle(n, 5)) if n else Fraction(1) for n in range(terms)]
+    dlt = [Fraction(0)] + eta24_oracle(terms - 1)
+    e4_cubed = convolve_oracle(convolve_oracle(e4, e4, terms), e4, terms)
+    inv_e4e6 = long_division_oracle(convolve_oracle(e4, e6, terms), terms)
+    a, b = ode_series(terms)
+    assert a == convolve_oracle([x - 984 * d for x, d in zip(e4_cubed, dlt)], inv_e4e6, terms)
+    assert b == convolve_oracle(dlt, inv_e4e6, terms)
+    assert all(type(v) is int for v in (*a, *b))
+
+
+@given(st.data())
+def test_integer_quotient_inverts_the_product(data):
+    n = data.draw(st.integers(1, 12))
+    series = st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)
+    a = data.draw(series)
+    b = [1] + data.draw(series)[1:]
+    assert _mul(_div(a, b), b) == a
+    assert _div(_mul(a, b), b) == a
+
+
+def test_integer_quotient_needs_unit_constant_term():
+    with pytest.raises(ValueError, match="constant term 1"):
+        _div([1, 2], [2, 1])
+
+
+def test_delta_checks_the_exact_division(monkeypatch):
+    real = exactq._eisenstein
+    monkeypatch.setattr(exactq, "_eisenstein", lambda k, n: [v + (k == 4) for v in real(k, n)])
+    with pytest.raises(ArithmeticError, match="1728"):
+        delta(4)

@@ -14,6 +14,7 @@ from extremal2.reedmuller import (
     rm_codes,
     verify_theorem1_xi,
     weight_enumerator,
+    word_str,
 )
 
 codes = rm_codes()
@@ -24,7 +25,7 @@ print("RM(1,6) weight enumerator:", weight_enumerator(codes.rm16))
 print("RM(2,4) weight enumerator:", weight_enumerator(codes.rm24))
 
 mw, witness = min_weight_rm46()
-print(f"RM(4,6) minimum weight {mw}, witness: {witness}")
+print(f"RM(4,6) minimum weight {mw}, witness: {word_str(witness, 64)}")
 
 sweep = lemma6_scan()
 print(f"weight-6 words of RM(2,4): {sweep.weight6_count}; "
@@ -32,9 +33,9 @@ print(f"weight-6 words of RM(2,4): {sweep.weight6_count}; "
       f"{sweep.all_cosets_match}")
 
 cert = verify_theorem1_xi()
-print(f"alpha = {XI_ALPHA} (weight {cert.alpha_weight}, in RM(2,4): "
+print(f"alpha = {word_str(XI_ALPHA, 16)} (weight {cert.alpha_weight}, in RM(2,4): "
       f"{cert.alpha_in_rm24})")
-print(f"xi = {construction_xi()}")
+print(f"xi = {word_str(construction_xi(), 64)}")
 print(f"conditions (i)-(iv) all hold: "
       f"{cert.conditions.cond_i and cert.conditions.cond_ii and cert.conditions.cond_iii and cert.conditions.cond_iv}")
 print(f"minimum coset weight {cert.min_coset_weight} -> top weight {cert.top_weight}")

@@ -59,7 +59,6 @@ from .genus import (
     modular_rep_check,
 )
 from .reedmuller import (
-    Codeword,
     LinearCode,
     lemma5_check,
     lemma6_scan,
@@ -68,6 +67,8 @@ from .reedmuller import (
     rm_codes,
     verify_theorem1_xi,
     weight_enumerator,
+    word,
+    word_str,
 )
 
 __version__ = "1.0.0"

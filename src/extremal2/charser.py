@@ -12,8 +12,8 @@ X[-1] = I and X[0] = chi, the equation becomes a triangular recursion
 
 whose denominators lie in {n+1, n+2-h, h+n} and never vanish because the
 extremal weight h is never an integer.  The n = 0 instance must reproduce
-chi itself, which pins the normalization (a_0 = 1, a_1 = 0, b_1 = 1) and
-is asserted on every expansion.
+chi itself, which pins the normalization (a_0 = 1, a_1 = 0, b_1 = 1);
+every expansion checks it and raises ``ValueError`` when it fails.
 
 The module also carries the coset/extension character data for the c = 33
 construction and the series-sum checks over them.

@@ -27,6 +27,7 @@ from .reedmuller import (
     rm_codes,
     verify_theorem1_xi,
     weight_enumerator,
+    word_str,
 )
 
 EXIT_OK = 0
@@ -122,13 +123,13 @@ def rm_data() -> dict:
         "rm16_weight_enumerator": weight_enumerator(codes.rm16),
         "rm24_equals_rm14_dual": rm24_is_dual,
         "rm46_min_weight": min_w,
-        "rm46_min_weight_witness": str(witness),
+        "rm46_min_weight_witness": word_str(witness, 64),
         "weight6_count": sweep.weight6_count,
         "lemma_sweep_conditions_pass": sweep.all_conditions_pass,
         "lemma_sweep_cosets_match": sweep.all_cosets_match,
         "coset_enumerator": sweep.coset_enumerator,
-        "xi": str(cert.xi),
-        "xi_alpha": str(cert.xi.blocks(4)[0]),
+        "xi": word_str(cert.xi, 64),
+        "xi_alpha": word_str(cert.xi >> 48, 16),
         "xi_conditions": {
             "i": cert.conditions.cond_i,
             "ii": cert.conditions.cond_ii,

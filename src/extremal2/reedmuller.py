@@ -1,9 +1,12 @@
 """GF(2) coding engine: Reed-Muller codes and the c = 33 certificates.
 
-Codewords are fixed-length bit vectors; coordinate 1 is the leftmost
-printed bit, stored at the most significant position of the backing
-integer, so ``Codeword.from_string("0110 ...")`` reads exactly like the
-row notation it came from.  Sum is XOR, pointwise product is AND.
+Words are plain ``int`` bitmasks whose length comes from context:
+16 bits for RM(.,4) and 64 bits for RM(.,6).  Coordinate 1 is the leftmost
+printed bit, stored at the most significant position, so
+``word("0110 ...")`` reads exactly like the row notation it came from and
+``word_str`` prints it back in groups of four.  Sum is XOR, pointwise
+product is AND, weight is ``bit_count()``; a 64-bit word splits into four
+16-bit blocks, leftmost first.
 
 The codes in play are RM(1,4) (from its five generator rows), its dual
 RM(2,4) (also the span of pairwise products of RM(1,4) words), RM(1,6)
@@ -31,7 +34,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
-    "Codeword",
+    "word",
+    "word_str",
     "LinearCode",
     "RMCodes",
     "rm_codes",
@@ -50,86 +54,38 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 20
+_MASK16 = 0xFFFF
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """Bit vector of fixed length; bit 1 is the leftmost printed symbol."""
+def word(text: str) -> int:
+    """Parse a 0/1 string (spaces ignored) into its bitmask."""
+    clean = text.replace(" ", "")
+    if clean.strip("01"):
+        raise ValueError(f"not a binary string: {text!r}")
+    return int(clean, 2)
 
-    bits: int
-    length: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.bits < (1 << self.length):
-            raise ValueError("bit pattern does not fit the stated length")
+def word_str(bits: int, length: int) -> str:
+    """Print a word of the given length in groups of four bits."""
+    if not 0 <= bits < (1 << length):
+        raise ValueError("bit pattern does not fit the stated length")
+    raw = format(bits, f"0{length}b")
+    return " ".join(raw[i : i + 4] for i in range(0, length, 4))
 
-    @classmethod
-    def from_string(cls, text: str) -> "Codeword":
-        clean = text.replace(" ", "")
-        if clean.strip("01"):
-            raise ValueError(f"not a binary string: {text!r}")
-        return cls(int(clean, 2), len(clean))
 
-    @classmethod
-    def zero(cls, length: int) -> "Codeword":
-        return cls(0, length)
+def _blocks(bits: int) -> tuple[int, int, int, int]:
+    """The four 16-bit blocks of a 64-bit word, leftmost first."""
+    return bits >> 48, (bits >> 32) & _MASK16, (bits >> 16) & _MASK16, bits & _MASK16
 
-    @classmethod
-    def ones(cls, length: int) -> "Codeword":
-        return cls((1 << length) - 1, length)
 
-    def bit(self, i: int) -> int:
-        """Coordinate i, 1-based from the left."""
-        if not 1 <= i <= self.length:
-            raise ValueError(f"coordinate {i} out of range 1..{self.length}")
-        return (self.bits >> (self.length - i)) & 1
+def _join(a: int, b: int, c: int, d: int) -> int:
+    """The 64-bit word with 16-bit blocks a, b, c, d, leftmost first."""
+    return a << 48 | b << 32 | c << 16 | d
 
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
 
-    def _check_partner(self, other: "Codeword") -> None:
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-
-    def __add__(self, other: "Codeword") -> "Codeword":
-        self._check_partner(other)
-        return Codeword(self.bits ^ other.bits, self.length)
-
-    def __mul__(self, other: "Codeword") -> "Codeword":
-        self._check_partner(other)
-        return Codeword(self.bits & other.bits, self.length)
-
-    def dot(self, other: "Codeword") -> int:
-        self._check_partner(other)
-        return (self.bits & other.bits).bit_count() & 1
-
-    def complement(self) -> "Codeword":
-        return Codeword(self.bits ^ ((1 << self.length) - 1), self.length)
-
-    def blocks(self, count: int) -> tuple["Codeword", ...]:
-        """Split into ``count`` equal consecutive blocks, leftmost first."""
-        if self.length % count:
-            raise ValueError("length not divisible by block count")
-        size = self.length // count
-        mask = (1 << size) - 1
-        return tuple(
-            Codeword((self.bits >> (size * (count - 1 - i))) & mask, size)
-            for i in range(count)
-        )
-
-    @classmethod
-    def concat(cls, parts: tuple["Codeword", ...]) -> "Codeword":
-        bits = 0
-        length = 0
-        for p in parts:
-            bits = (bits << p.length) | p.bits
-            length += p.length
-        return cls(bits, length)
-
-    def __str__(self) -> str:
-        raw = format(self.bits, f"0{self.length}b")
-        return " ".join(raw[i : i + 4] for i in range(0, len(raw), 4))
+def _check64(bits: int) -> None:
+    if not 0 <= bits < 1 << 64:
+        raise ValueError("RM(4,6) words have length 64")
 
 
 def _reduce_rows(rows: list[int]) -> list[int]:
@@ -147,11 +103,11 @@ def _reduce_rows(rows: list[int]) -> list[int]:
 class LinearCode:
     """Binary linear code presented by independent basis rows."""
 
-    def __init__(self, length: int, basis: list[Codeword]):
-        for word in basis:
-            if word.length != length:
-                raise ValueError("basis word length mismatch")
-        reduced = _reduce_rows([w.bits for w in basis])
+    def __init__(self, length: int, basis: list[int]):
+        for row in basis:
+            if not 0 <= row < (1 << length):
+                raise ValueError("basis row does not fit the code length")
+        reduced = _reduce_rows(basis)
         if len(reduced) != len(basis):
             raise ValueError("basis rows are linearly dependent")
         self.length = length
@@ -162,15 +118,12 @@ class LinearCode:
     def dim(self) -> int:
         return len(self.basis)
 
-    def __contains__(self, word: Codeword) -> bool:
-        if word.length != self.length:
-            return False
-        bits = word.bits
+    def __contains__(self, bits: int) -> bool:
         for row in self._echelon:
             bits = min(bits, bits ^ row)
         return bits == 0
 
-    def codewords(self) -> list[Codeword]:
+    def codewords(self) -> list[int]:
         """Full span; guarded so RM(4,6) (dim 57) can never be expanded."""
         if self.dim > ENUMERATION_LIMIT:
             raise ValueError(
@@ -179,7 +132,7 @@ class LinearCode:
         words = [0]
         for row in self._echelon:
             words += [w ^ row for w in words]
-        return [Codeword(w, self.length) for w in words]
+        return words
 
     def dual(self) -> "LinearCode":
         """The orthogonal code, from the nullspace of the basis matrix."""
@@ -201,18 +154,15 @@ class LinearCode:
             for col, r in row_of.items():
                 if (r >> (n - 1 - free)) & 1:
                     bits |= 1 << (n - 1 - col)
-            dual_basis.append(Codeword(bits, n))
+            dual_basis.append(bits)
         return LinearCode(n, dual_basis)
 
     def product(self, other: "LinearCode") -> "LinearCode":
         """Span of all pointwise products of codewords of the two codes."""
         if self.length != other.length:
             raise ValueError("length mismatch")
-        products = [
-            a.bits & b.bits for a in self.basis for b in other.basis
-        ]
-        reduced = _reduce_rows(products)
-        return LinearCode(self.length, [Codeword(r, self.length) for r in reduced])
+        products = [a & b for a in self.basis for b in other.basis]
+        return LinearCode(self.length, _reduce_rows(products))
 
     def __repr__(self) -> str:
         return f"LinearCode(length={self.length}, dim={self.dim})"
@@ -221,8 +171,9 @@ class LinearCode:
 def weight_enumerator(code: LinearCode) -> dict[int, int]:
     """Exact weight distribution over the full span (dim <= 20)."""
     counts: dict[int, int] = {}
-    for word in code.codewords():
-        counts[word.weight] = counts.get(word.weight, 0) + 1
+    for w in code.codewords():
+        wt = w.bit_count()
+        counts[wt] = counts.get(wt, 0) + 1
     return dict(sorted(counts.items()))
 
 
@@ -241,12 +192,12 @@ class RMCodes:
 @lru_cache(maxsize=1)
 def rm_codes() -> RMCodes:
     """Build RM(1,4), RM(2,4), RM(1,6) and RM(4,6)."""
-    alpha = [Codeword.from_string(r) for r in _ALPHA_ROWS]
+    alpha = [word(r) for r in _ALPHA_ROWS]
     rm14 = LinearCode(16, alpha)
     rm24 = rm14.product(rm14)
-    gamma = [Codeword.concat((a, a, a, a)) for a in alpha]
-    gamma.append(Codeword.from_string("0" * 16 + "1" * 16 + "0" * 16 + "1" * 16))
-    gamma.append(Codeword.from_string("0" * 32 + "1" * 32))
+    gamma = [_join(a, a, a, a) for a in alpha]
+    gamma.append(_join(0, _MASK16, 0, _MASK16))
+    gamma.append(_join(0, 0, _MASK16, _MASK16))
     rm16 = LinearCode(64, gamma)
     rm46 = rm16.dual()
     return RMCodes(rm14, rm24, rm16, rm46)
@@ -254,38 +205,36 @@ def rm_codes() -> RMCodes:
 
 @lru_cache(maxsize=1)
 def _rm24_bitset() -> frozenset[int]:
-    return frozenset(w.bits for w in rm_codes().rm24.codewords())
+    return frozenset(rm_codes().rm24.codewords())
 
 
 @lru_cache(maxsize=1)
 def _rm14_bitset() -> frozenset[int]:
-    return frozenset(w.bits for w in rm_codes().rm14.codewords())
+    return frozenset(rm_codes().rm14.codewords())
 
 
 @lru_cache(maxsize=1)
-def _rm16_words() -> tuple[Codeword, ...]:
+def _rm16_words() -> tuple[int, ...]:
     return tuple(rm_codes().rm16.codewords())
 
 
-def rm46_member(word: Codeword) -> bool:
+def rm46_member(bits: int) -> bool:
     """Block characterization of RM(4,6) membership (no enumeration)."""
-    if word.length != 64:
-        raise ValueError("RM(4,6) words have length 64")
-    a, b, c, d = word.blocks(4)
-    parity = a.weight & 1
-    if any(blk.weight & 1 != parity for blk in (b, c, d)):
+    _check64(bits)
+    a, b, c, d = _blocks(bits)
+    parity = a.bit_count() & 1
+    if any(blk.bit_count() & 1 != parity for blk in (b, c, d)):
         return False
-    return (a + b + c + d).bits in _rm24_bitset()
+    return (a ^ b ^ c ^ d) in _rm24_bitset()
 
 
-def rm46_member_dual(word: Codeword) -> bool:
+def rm46_member_dual(bits: int) -> bool:
     """Reference definition: orthogonality to the RM(1,6) basis."""
-    if word.length != 64:
-        raise ValueError("RM(4,6) words have length 64")
-    return all(word.dot(g) == 0 for g in rm_codes().rm16.basis)
+    _check64(bits)
+    return all((bits & g).bit_count() & 1 == 0 for g in rm_codes().rm16.basis)
 
 
-def min_weight_rm46() -> tuple[int, Codeword]:
+def min_weight_rm46() -> tuple[int, int]:
     """Minimum weight of RM(4,6) with a witness word.
 
     Exhausts all 43744 words of weight at most 3 (none belong), then
@@ -297,14 +246,14 @@ def min_weight_rm46() -> tuple[int, Codeword]:
             bits = 0
             for p in positions:
                 bits |= 1 << (63 - p)
-            if rm46_member(Codeword(bits, 64)):
-                raise AssertionError(f"unexpected weight-{wt} word in RM(4,6)")
-    planted = [w.bits for w in rm_codes().rm24.codewords() if w.weight == 4]
+            if rm46_member(bits):
+                raise RuntimeError(f"unexpected weight-{wt} word in RM(4,6)")
+    planted = [w for w in rm_codes().rm24.codewords() if w.bit_count() == 4]
     if not planted:
-        raise AssertionError("no weight-4 word in RM(2,4)")
-    witness = Codeword(min(planted) << 48, 64)
+        raise RuntimeError("no weight-4 word in RM(2,4)")
+    witness = min(planted) << 48
     if not (rm46_member(witness) and rm46_member_dual(witness)):
-        raise AssertionError("witness rejected")
+        raise RuntimeError("witness rejected")
     return 4, witness
 
 
@@ -337,33 +286,30 @@ class Lemma5Report:
         )
 
 
-def lemma5_check(xi: Codeword) -> Lemma5Report:
+def lemma5_check(xi: int) -> Lemma5Report:
     """Evaluate conditions (i)-(iv) and their brute-force counterparts."""
-    if xi.length != 64:
-        raise ValueError("xi must have length 64")
-    codes = rm_codes()
-    nus = xi.blocks(4)
-    total = nus[0] + nus[1] + nus[2] + nus[3]
-    cond_i = total.bits in _rm14_bitset()
+    _check64(xi)
+    nus = _blocks(xi)
+    cond_i = (nus[0] ^ nus[1] ^ nus[2] ^ nus[3]) in _rm14_bitset()
     cond_ii = all(
-        (nus[i] + nus[j]).bits in _rm24_bitset()
+        (nus[i] ^ nus[j]) in _rm24_bitset()
         for i in range(4)
         for j in range(i + 1, 4)
     )
-    cond_iii = all(nu.weight % 2 == 0 for nu in nus)
+    cond_iii = all(nu.bit_count() % 2 == 0 for nu in nus)
     cond_iv = all(
-        (xi * g).weight % 4 == 0 for g in codes.rm16.basis[:5]
+        (xi & g).bit_count() % 4 == 0 for g in rm_codes().rm16.basis[:5]
     )
-    products = [xi * g for g in _rm16_words()]
+    products = [xi & g for g in _rm16_words()]
     subcode_ok = all(rm46_member_dual(p) for p in products)
-    doubly_even_ok = subcode_ok and all(p.weight % 4 == 0 for p in products)
+    doubly_even_ok = subcode_ok and all(p.bit_count() % 4 == 0 for p in products)
     return Lemma5Report(cond_i, cond_ii, cond_iii, cond_iv, subcode_ok, doubly_even_ok)
 
 
-def _coset_enumerator(xi: Codeword) -> dict[int, int]:
+def _coset_enumerator(xi: int) -> dict[int, int]:
     counts: dict[int, int] = {}
     for g in _rm16_words():
-        w = (xi + g).weight
+        w = (xi ^ g).bit_count()
         counts[w] = counts.get(w, 0) + 1
     return dict(sorted(counts.items()))
 
@@ -385,10 +331,10 @@ def lemma6_scan() -> Lemma6Report:
     conditions_ok = True
     cosets_ok = True
     for alpha in rm_codes().rm24.codewords():
-        if alpha.weight != 6:
+        if alpha.bit_count() != 6:
             continue
         count += 1
-        xi = Codeword.concat((alpha, alpha, alpha, alpha.complement()))
+        xi = _join(alpha, alpha, alpha, alpha ^ _MASK16)
         report = lemma5_check(xi)
         if not (
             report.cond_i
@@ -404,17 +350,17 @@ def lemma6_scan() -> Lemma6Report:
 
 
 # The explicit weight-6 word of the c = 33 construction.
-XI_ALPHA = Codeword.from_string("0110 1100 1010 0000")
+XI_ALPHA = word("0110 1100 1010 0000")
 
 
-def construction_xi() -> Codeword:
+def construction_xi() -> int:
     """The 64-bit word (alpha, alpha, alpha, alpha^c) built from XI_ALPHA."""
-    return Codeword.concat((XI_ALPHA, XI_ALPHA, XI_ALPHA, XI_ALPHA.complement()))
+    return _join(XI_ALPHA, XI_ALPHA, XI_ALPHA, XI_ALPHA ^ _MASK16)
 
 
 @dataclass(frozen=True)
 class XiCertificate:
-    xi: Codeword
+    xi: int
     alpha_in_rm24: bool
     alpha_weight: int
     conditions: Lemma5Report
@@ -436,7 +382,7 @@ def verify_theorem1_xi() -> XiCertificate:
     return XiCertificate(
         xi=xi,
         alpha_in_rm24=XI_ALPHA in rm_codes().rm24,
-        alpha_weight=XI_ALPHA.weight,
+        alpha_weight=XI_ALPHA.bit_count(),
         conditions=lemma5_check(xi),
         coset_enumerator=enum,
         min_coset_weight=min_w,

@@ -5,6 +5,8 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from extremal2.chimat import (
     AlphaBeta,
@@ -176,6 +178,33 @@ def test_k_step_matches_alpha_beta_of_f_minus(rng):
         down, h_down = f_minus(m, h)
         ab, h_k = k_step(alpha_beta(m), h)
         assert (alpha_beta(down), h_down) == (ab, h_k)
+
+
+rationals = st.fractions(-1000, 1000, max_denominator=30)
+noninteger_h = st.fractions(-20, 20, max_denominator=12).filter(lambda h: h.denominator != 1)
+
+
+@given(rationals, rationals, rationals.filter(bool), rationals, noninteger_h)
+def test_f_minus_inverts_f_plus(x, y, z, w, h):
+    m = CharMatrix(x, y, z, w)
+    assert f_minus(*f_plus(m, h)) == (m, h)
+
+
+@given(rationals, rationals, noninteger_h, st.integers(0, 6))
+def test_g_closed_is_the_iterated_step(x, w, h, n):
+    state = (x, w, h)
+    for _ in range(n):
+        state = g_step(*state)
+    assert g_closed(x, w, h, n) == state
+
+
+@given(rationals, rationals, noninteger_h, st.integers(0, 6))
+def test_k_closed_is_the_iterated_step(alpha, beta, h, n):
+    ab = AlphaBeta(alpha, beta)
+    state = (ab, h)
+    for _ in range(n):
+        state = k_step(*state)
+    assert k_closed(ab, h, n) == state
 
 
 def test_seed_examples():

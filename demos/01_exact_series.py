@@ -1,27 +1,36 @@
-"""Exact q-series: the two Laurent series that drive everything else.
+"""Exact q-series: the integer modular forms behind the character recursion.
 
-All coefficients are exact rationals; nothing here ever touches a float.
+Every coefficient is a Python int; nothing here ever touches a float.  The
+ODE itself reads (J - 240)/E and 1/E from ``ode_series``, built from the
+same integer lists.
 """
 
-from extremal2.exactq import delta, eisenstein, j_and_script_e
+from extremal2.exactq import _div, _mul, delta, eisenstein, j_and_script_e
 
-e4 = eisenstein(4, 6)
-e6 = eisenstein(6, 6)
-print("E4 =", e4)
-print("E6 =", e6)
+
+def show(coeffs: list[int], lead: int = 0) -> str:
+    """coeffs[k] is the coefficient of q^(lead + k), known below q^(lead + len)."""
+    powers = {0: "", 1: "*q"}
+    parts = [f"{c}{powers.get(n, f'*q^{n}')}" for n, c in enumerate(coeffs, lead) if c]
+    return f"{' + '.join(parts) or '0'} + O(q^{lead + len(coeffs)})"
+
+
+print("E4 =", show(eisenstein(4, 6)))
+print("E6 =", show(eisenstein(6, 6)))
 
 d = delta(8)
-print("Delta = (E4^3 - E6^2)/1728 =", d)
-assert all(c.denominator == 1 for c in d.coeffs), "Delta has integer coefficients"
+print("Delta = (E4^3 - E6^2)/1728 =", show(d))
+assert all(isinstance(c, int) for c in d), "Delta has integer coefficients"
 
-j, script_e = j_and_script_e(6)
-print("J =", j)
-print("E =", script_e)
+j, script_e = j_and_script_e(6)  # both from q^-1 on
+print("J =", show(j, -1))
+print("E =", show(script_e, -1))
 
 # the anchors every later computation leans on
-assert (j.coeff(-1), j.coeff(0), j.coeff(1)) == (1, 0, 196884)
-assert (script_e.coeff(-1), script_e.coeff(0), script_e.coeff(1)) == (1, -240, -141444)
+assert j[:3] == [1, 0, 196884]
+assert script_e[:3] == [1, -240, -141444]
 
-inv = script_e.invert()
-print("1/E =", inv)
-print("E * (1/E) =", script_e * inv)
+# 1/E = q / (qE), and qE has constant term 1
+inv = _div([1] + [0] * (len(script_e) - 1), script_e)
+print("1/E =", show(inv, 1))
+print("E * (1/E) =", show(_mul(script_e, inv)))

@@ -1,6 +1,6 @@
 """Exact classification of extremal two-module VOA characters.
 
-The pipeline: exact rational q-series (`exactq`), the rank-two category
+The pipeline: integer modular-form q-series (`exactq`), the rank-two category
 catalog and genus arithmetic (`genus`), the c -> c +/- 24 recurrence on
 characteristic matrices (`chimat`), effective central-charge bounds
 (`bounds`), the classification sweep producing the fifteen surviving
@@ -20,7 +20,6 @@ from .bounds import (
 from .charser import (
     CharacterVector,
     FundamentalExpansion,
-    OffsetSeries,
     character_vector,
     d_coefficients,
     expand,
@@ -46,14 +45,13 @@ from .classify import (
     classify_all,
     first_column_admissible,
 )
-from .exactq import QSeries, delta, eisenstein, j_and_script_e
+from .exactq import delta, eisenstein, j_and_script_e
 from .genus import (
     CATALOG,
     CategoryInfo,
     Genus,
     category,
     ell_general,
-    exponent_matrix,
     genus,
     h_ext,
     modular_rep_check,

@@ -16,7 +16,9 @@ chi itself, which pins the normalization (a_0 = 1, a_1 = 0, b_1 = 1);
 every expansion checks it and raises ``ValueError`` when it fails.
 
 The module also carries the coset/extension character data for the c = 33
-construction and the series-sum checks over them.
+construction and the series-sum checks over them.  A character component
+there is a pair ``(offset, coeffs)`` standing for
+sum_k coeffs[k] q^(offset + k), known exactly for k < len(coeffs).
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chimat import CharMatrix
-from .exactq import QSeries, ode_series
+from .exactq import ode_series
 from .genus import Genus
 
 __all__ = [
     "Mat2",
     "FundamentalExpansion",
     "CharacterVector",
-    "OffsetSeries",
     "d_coefficients",
     "expand",
     "character_vector",
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 Mat2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+Component = tuple[Fraction, tuple]  # (offset, coeffs), see the module docstring
 
 _ZERO = Fraction(0)
 _IDENTITY: Mat2 = ((Fraction(1), _ZERO), (_ZERO, Fraction(1)))
@@ -178,15 +180,11 @@ class CharacterVector:
             c.denominator == 1 and c >= 0 for c in (*self.series0, *self.series1)
         )
 
-    def component(self, index: int) -> "OffsetSeries":
+    def component(self, index: int) -> Component:
         if index == 0:
-            return OffsetSeries(
-                self.exponent0, QSeries(0, self.series0, len(self.series0))
-            )
+            return self.exponent0, self.series0
         if index == 1:
-            return OffsetSeries(
-                self.exponent1, QSeries(0, self.series1, len(self.series1))
-            )
+            return self.exponent1, self.series1
         raise ValueError("component index must be 0 or 1")
 
 
@@ -198,42 +196,48 @@ def character_vector(e: FundamentalExpansion) -> CharacterVector:
     return CharacterVector(-g.c / 24, g.h_ext - g.c / 24, series0, series1)
 
 
-@dataclass(frozen=True)
-class OffsetSeries:
-    """A q-series carrying a global rational exponent offset q^offset."""
-
-    offset: Fraction
-    series: QSeries
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "offset", Fraction(self.offset))
-
-    def _shift_to(self, offset: Fraction) -> QSeries:
-        d = self.offset - offset
-        if d.denominator != 1:
-            raise ValueError(
-                f"incompatible exponents: {self.offset} vs {offset} differ by a non-integer"
-            )
-        k = int(d)
-        s = self.series
-        return QSeries(s.lead + k, s.coeffs, s.trunc + k)
-
-    def __add__(self, other: "OffsetSeries") -> "OffsetSeries":
-        offset = min(self.offset, other.offset)
-        return OffsetSeries(offset, self._shift_to(offset) + other._shift_to(offset))
-
-    def __mul__(self, other: "OffsetSeries") -> "OffsetSeries":
-        return OffsetSeries(self.offset + other.offset, self.series * other.series)
-
-    def matches(self, other: "OffsetSeries") -> bool:
-        """Coefficient-wise equality through the shared trusted window."""
-        offset = min(self.offset, other.offset)
-        return (self._shift_to(offset) - other._shift_to(offset)).is_zero()
+def _aligned(a: Component, b: Component) -> tuple[Fraction, tuple, tuple]:
+    """Both coefficient tuples over the lower offset, each to its own window end."""
+    if (a[0] - b[0]).denominator != 1:
+        raise ValueError(
+            f"incompatible exponents: {a[0]} vs {b[0]} differ by a non-integer"
+        )
+    offset = min(a[0], b[0])
+    return offset, (0,) * int(a[0] - offset) + a[1], (0,) * int(b[0] - offset) + b[1]
 
 
-def holomorphic_sum_check(
-    parts: list[OffsetSeries], target: OffsetSeries
-) -> bool:
+def _series_sum(a: Component, b: Component) -> Component:
+    """Sum, trusted up to the end of the shorter window."""
+    offset, x, y = _aligned(a, b)
+    return offset, tuple(u + v for u, v in zip(x, y))
+
+
+def _lead(coeffs: tuple) -> int:
+    return next((k for k, c in enumerate(coeffs) if c), len(coeffs))
+
+
+def _series_product(a: Component, b: Component) -> Component:
+    """Product, trusted up to min(len_a + lead_b, len_b + lead_a).
+
+    A factor's unknown tail is shifted by the other factor's lead, the index
+    of its first non-zero coefficient.
+    """
+    x, y = a[1], b[1]
+    out = [0] * min(len(x) + _lead(y), len(y) + _lead(x))
+    for i, u in enumerate(x[: len(out)]):
+        if u:
+            for j, v in enumerate(y[: len(out) - i]):
+                out[i + j] += u * v
+    return a[0] + b[0], tuple(out)
+
+
+def _mismatches(a: Component, b: Component) -> list[tuple[int, Fraction, Fraction]]:
+    """(power above the lower offset, a's, b's) wherever the shared windows differ."""
+    _, x, y = _aligned(a, b)
+    return [(n, u, v) for n, (u, v) in enumerate(zip(x, y)) if u != v]
+
+
+def holomorphic_sum_check(parts: list[Component], target: Component) -> bool:
     """Whether the coefficient-wise sum of ``parts`` equals ``target``.
 
     Parts must have exponents compatible with each other and with the
@@ -242,31 +246,25 @@ def holomorphic_sum_check(
     target.
     """
     if not parts:
-        return target.series.is_zero()
+        return not any(target[1])
     total = parts[0]
     for p in parts[1:]:
-        total = total + p
-    return total.matches(target)
-
-
-def _offset_series(offset: Fraction, coeffs: tuple[int, ...]) -> OffsetSeries:
-    return OffsetSeries(offset, QSeries(0, tuple(Fraction(c) for c in coeffs), len(coeffs)))
+        total = _series_sum(total, p)
+    return not _mismatches(total, target)
 
 
 # Character vector of the weight-one coset inside the c = 33 realization:
 # four components with weights 0, 9/4, 7/4, 2 over the global q^(-32/24).
-COSET_CHARACTER: tuple[OffsetSeries, ...] = (
-    _offset_series(Fraction(-4, 3), (1, 0, 69616, 34668544)),
-    _offset_series(Fraction(-4, 3) + Fraction(9, 4), (426192, 121366368)),
-    _offset_series(Fraction(-4, 3) + Fraction(7, 4), (10245, 11330970)),
-    _offset_series(Fraction(-4, 3) + 2, (69888, 34664448)),
+COSET_CHARACTER: tuple[Component, ...] = (
+    (Fraction(-4, 3), (1, 0, 69616, 34668544)),
+    (Fraction(-4, 3) + Fraction(9, 4), (426192, 121366368)),
+    (Fraction(-4, 3) + Fraction(7, 4), (10245, 11330970)),
+    (Fraction(-4, 3) + 2, (69888, 34664448)),
 )
 
 # Character of its holomorphic extension (the twisted orbifold of the
 # rank-32 Barnes-Wall lattice VOA).
-EXTENSION_CHARACTER: OffsetSeries = _offset_series(
-    Fraction(-4, 3), (1, 0, 139504, 69332992)
-)
+EXTENSION_CHARACTER: Component = (Fraction(-4, 3), (1, 0, 139504, 69332992))
 
 
 def coset_extension_sum_check() -> bool:
@@ -287,8 +285,8 @@ class BranchingDiagnostic:
     rather than asserted.
     """
 
-    computed: OffsetSeries
-    reference: OffsetSeries
+    computed: Component
+    reference: Component
     matches: bool
     mismatches: tuple[tuple[int, Fraction, Fraction], ...]
 
@@ -301,19 +299,10 @@ def branching_diagnostic() -> BranchingDiagnostic:
     semion = category("semion")
     a1 = character_vector(expand(genus(semion, 1), chi_of(semion, 1), order=6))
     target = character_vector(expand(genus(semion, 33), chi_of(semion, 33), order=6))
-    computed = (
-        COSET_CHARACTER[0] * a1.component(0) + COSET_CHARACTER[2] * a1.component(1)
+    computed = _series_sum(
+        _series_product(COSET_CHARACTER[0], a1.component(0)),
+        _series_product(COSET_CHARACTER[2], a1.component(1)),
     )
     reference = target.component(0)
-    offset = min(computed.offset, reference.offset)
-    got = computed._shift_to(offset)
-    want = reference._shift_to(offset)
-    diff = got - want
-    mismatches = []
-    if not diff.is_zero():
-        for n in range(diff.lead, diff.trunc):
-            if diff.coeff(n) != 0:
-                mismatches.append((n, got.coeff(n), want.coeff(n)))
-    return BranchingDiagnostic(
-        computed, reference, not mismatches, tuple(mismatches)
-    )
+    mismatches = tuple(_mismatches(computed, reference))
+    return BranchingDiagnostic(computed, reference, not mismatches, mismatches)

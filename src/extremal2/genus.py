@@ -32,7 +32,6 @@ __all__ = [
     "h_ext",
     "ell_general",
     "genus",
-    "exponent_matrix",
     "modular_rep_check",
 ]
 
@@ -184,11 +183,6 @@ def genus(cat: CategoryInfo, c: Fraction | int) -> Genus:
     if ell.denominator != 1:
         raise ValueError(f"ell = {ell} is not an integer for ({cat.id}, {c})")
     return Genus(cat, c, h, int(ell), 1 - c / 24, h - c / 24)
-
-
-def exponent_matrix(g: Genus) -> tuple[Fraction, Fraction]:
-    """Diagonal of the exponent matrix: (1 - c/24, h_ext - c/24)."""
-    return (g.lambda0, g.lambda1)
 
 
 def _mat_mul(a, b):

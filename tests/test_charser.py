@@ -5,11 +5,14 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from extremal2.charser import (
     COSET_CHARACTER,
     EXTENSION_CHARACTER,
-    OffsetSeries,
+    _series_product,
+    _series_sum,
     branching_diagnostic,
     character_vector,
     coset_extension_sum_check,
@@ -19,7 +22,7 @@ from extremal2.charser import (
 )
 from extremal2.chimat import CharMatrix, f_plus, seed_rows
 from extremal2.classify import chi_of, classify_all
-from extremal2.exactq import QSeries, ode_series
+from extremal2.exactq import ode_series
 from extremal2.genus import CATALOG, category, genus
 
 F = Fraction
@@ -178,34 +181,81 @@ def test_surviving_characters_integral_through_order_eight():
 
 
 # ---------------------------------------------------------------------------
-# offset series and the coset checks
+# (offset, coeffs) components and the coset checks
 
 
 def test_offset_series_alignment_rules():
-    a = OffsetSeries(F(-4, 3), QSeries(0, (F(1), F(2)), 2))
-    b = OffsetSeries(F(-4, 3) + 2, QSeries(0, (F(5),), 1))
-    total = a + b
-    assert total.offset == F(-4, 3)
-    assert total.series.coeff(0) == 1
-    bad = OffsetSeries(F(-1, 4), QSeries(0, (F(1),), 1))
+    a = (F(-4, 3), (1, 2))
+    b = (F(-4, 3) + 2, (5,))
+    assert _series_sum(a, b) == (F(-4, 3), (1, 2))
+    bad = (F(-1, 4), (1,))
     with pytest.raises(ValueError, match="incompatible exponents"):
-        a + bad
+        _series_sum(a, bad)
+    with pytest.raises(ValueError, match="incompatible exponents"):
+        holomorphic_sum_check([bad], a)
+
+
+def test_character_vector_component_pairs():
+    semion = category("semion")
+    vec = character_vector(expand(genus(semion, 1), chi_of(semion, 1), 3))
+    assert vec.component(0) == (F(-1, 24), vec.series0)
+    assert vec.component(1) == (F(5, 24), vec.series1)
+    with pytest.raises(ValueError, match="0 or 1"):
+        vec.component(2)
+
+
+def _terms(component):
+    """Oracle view: {exponent: coefficient} and the exponent where the window ends."""
+    offset, coeffs = component
+    return {offset + k: c for k, c in enumerate(coeffs)}, offset + len(coeffs)
+
+
+def _lead(component):
+    terms, end = _terms(component)
+    return min((e for e, c in terms.items() if c), default=end)
+
+
+_components = st.tuples(
+    st.integers(-3, 3).map(lambda k: F(1, 3) + k),
+    st.lists(st.integers(-4, 4) | st.just(0), max_size=6).map(tuple),
+)
+
+
+@given(_components, _components)
+def test_component_sum_and_product_against_a_dict_oracle(a, b):
+    (ta, end_a), (tb, end_b) = _terms(a), _terms(b)
+    offset, coeffs = _series_sum(a, b)
+    assert offset == min(a[0], b[0]) and offset + len(coeffs) == min(end_a, end_b)
+    for k, c in enumerate(coeffs):
+        assert c == ta.get(offset + k, 0) + tb.get(offset + k, 0)
+
+    offset, coeffs = _series_product(a, b)
+    end = min(end_a + _lead(b), end_b + _lead(a))
+    assert offset == a[0] + b[0] and offset + len(coeffs) == end
+    want = {}
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            want[ea + eb] = want.get(ea + eb, 0) + ca * cb
+    assert all(c == want.get(offset + k, 0) for k, c in enumerate(coeffs))
 
 
 def test_holomorphic_sum_check_printed_values():
-    comp0, comp2 = COSET_CHARACTER[0], COSET_CHARACTER[3]
-    assert comp0.series.coeff(2) + comp2.series.coeff(0) == 139504
+    coset0, coset2 = COSET_CHARACTER[0][1], COSET_CHARACTER[3][1]
+    assert coset0[2] + coset2[0] == 139504
     assert 69616 + 69888 == 139504
-    assert comp0.series.coeff(3) + comp2.series.coeff(1) == 69332992
+    assert coset0[3] + coset2[1] == 69332992
     assert 34668544 + 34664448 == 69332992
     assert coset_extension_sum_check()
-    assert holomorphic_sum_check([comp0, comp2], EXTENSION_CHARACTER)
+    assert holomorphic_sum_check(
+        [COSET_CHARACTER[0], COSET_CHARACTER[3]], EXTENSION_CHARACTER
+    )
 
 
 def test_holomorphic_sum_check_empty_and_mismatch():
-    zero_target = OffsetSeries(F(0), QSeries.zero(3))
+    zero_target = (F(0), (0, 0, 0))
     assert holomorphic_sum_check([], zero_target)
-    wrong = OffsetSeries(F(-4, 3), QSeries(0, (F(2),), 1))
+    assert not holomorphic_sum_check([], (F(0), (0, 1)))
+    wrong = (F(-4, 3), (2,))
     assert not holomorphic_sum_check([wrong], EXTENSION_CHARACTER)
 
 

@@ -1,4 +1,4 @@
-"""Smoke test: every script under demos/ runs to completion."""
+"""Every script under demos/ runs to completion; two print pinned golden text."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_demo(path: Path) -> subprocess.CompletedProcess:
@@ -28,6 +29,8 @@ def run_demo(path: Path) -> subprocess.CompletedProcess:
 def test_demo_runs(path):
     result = run_demo(path)
     assert result.returncode == 0, result.stderr
+    if path.stem in ("01_exact_series", "05_characters"):
+        assert result.stdout.encode() == (GOLDEN / f"{path.stem}.txt").read_bytes()
     if path.stem == "06_codes":
         # the certificate words print in the notation of `rm verify`
         fixture = json.loads(

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from extremal2 import exactq
-from extremal2.exactq import QSeries, _div, _mul, delta, eisenstein, j_and_script_e, ode_series
+from extremal2.charser import _series_product, _series_sum
+from extremal2.exactq import _div, _mul, delta, eisenstein, j_and_script_e, ode_series
 
 from conftest import random_fraction
 
@@ -57,67 +58,50 @@ def eta24_oracle(terms: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# series plumbing
+# series plumbing: the component helpers of charser and the integer quotient
 
 
 def test_addition_merges_windows():
-    a = QSeries(-1, (Fraction(1), Fraction(1)), 1)  # q^-1 + 1
-    b = QSeries(0, (Fraction(1),), 1)  # 1
-    total = a + b
-    assert (total.lead, total.coeffs, total.trunc) == (-1, (Fraction(1), Fraction(2)), 1)
+    a = (Fraction(-1), (1, 1))  # q^-1 + 1 + O(q)
+    b = (Fraction(0), (1,))  # 1 + O(q)
+    assert _series_sum(a, b) == (-1, (1, 2))
 
 
 def test_monomial_product_adds_exponents():
-    a = QSeries.monomial(1, -1, 3)
-    b = QSeries.monomial(1, 1, 3)
-    prod = a * b
-    assert prod.coeff(0) == 1 and prod.lead == 0
+    a = (Fraction(-1), (1, 0, 0, 0))  # q^-1 + O(q^3)
+    b = (Fraction(1), (1, 0))  # q + O(q^3)
+    assert _series_product(a, b) == (0, (1, 0))
 
 
 def test_leading_zeros_are_trimmed():
-    s = QSeries(0, (Fraction(0), Fraction(2), Fraction(0)), 3)
-    assert s.lead == 1 and s.coeffs == (Fraction(2), Fraction(0))
-
-
-def test_coeff_beyond_trunc_raises():
-    s = QSeries.constant(1, 4)
-    with pytest.raises(ValueError, match="beyond trunc"):
-        s.coeff(4)
+    # leading zeros stay in the tuple but set the lead of the product window
+    s = (Fraction(0), (0, 2, 0))
+    assert _series_product(s, (Fraction(0), (1,))) == (0, (0, 2))
 
 
 def test_mul_truncation_rule():
-    a = QSeries(-1, tuple(Fraction(1) for _ in range(4)), 3)
-    b = QSeries(2, tuple(Fraction(1) for _ in range(3)), 5)
-    assert (a * b).trunc == min(a.trunc + b.lead, b.trunc + a.lead)
+    a = (Fraction(-1), (0, 1, 1, 1))  # lead 1, window of 4
+    b = (Fraction(2), (0, 0, 1))  # lead 2, window of 3
+    offset, coeffs = _series_product(a, b)
+    assert offset == 1 and len(coeffs) == min(4 + 2, 3 + 1)
 
 
 def test_geometric_series_inversion():
-    one_minus_q = QSeries(0, (Fraction(1), Fraction(-1)) + (Fraction(0),) * 4, 6)
-    inv = one_minus_q.invert()
-    assert inv.coeffs == tuple(Fraction(1) for _ in range(6))
-
-
-def test_invert_monomial():
-    q = QSeries.monomial(1, 1, 4)
-    assert q.invert().lead == -1
-    assert q.invert().coeff(-1) == 1
+    one = [1, 0, 0, 0, 0, 0]
+    assert _div(one, [1, -1, 0, 0, 0, 0]) == [1] * 6
 
 
 def test_invert_zero_leading_coefficient_rejected():
-    with pytest.raises(ValueError, match="not invertible"):
-        QSeries.zero(3).invert()
+    with pytest.raises(ValueError, match="constant term 1"):
+        _div([1, 0, 0], [0, 1, 0])
 
 
 def test_mul_inverse_roundtrip_on_random_series(rng):
     for _ in range(50):
-        lead = rng.randint(-3, 3)
-        coeffs = [random_fraction(rng) for _ in range(6)]
-        while coeffs[0] == 0:
-            coeffs[0] = random_fraction(rng)
-        s = QSeries(lead, tuple(coeffs), lead + 6)
-        prod = s * s.invert()
-        assert prod.lead == 0 and prod.coeff(0) == 1
-        assert all(prod.coeff(n) == 0 for n in range(1, prod.trunc))
+        lead = Fraction(rng.randint(-3, 3))
+        s = [1] + [random_fraction(rng) for _ in range(5)]
+        inverse = (-lead, tuple(_div([1, 0, 0, 0, 0, 0], s)))
+        assert _series_product((lead, tuple(s)), inverse) == (0, (1, 0, 0, 0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +112,15 @@ def test_sigma_against_bruteforce():
     # the Eisenstein coefficients are divisor sums, read off a sieve
     e4, e6 = eisenstein(4, 65), eisenstein(6, 65)
     for n in range(1, 65):
-        assert e4.coeff(n) == 240 * sigma_oracle(n, 3)
-        assert e6.coeff(n) == -504 * sigma_oracle(n, 5)
+        assert e4[n] == 240 * sigma_oracle(n, 3)
+        assert e6[n] == -504 * sigma_oracle(n, 5)
 
 
 def test_eisenstein_small_expansions():
-    assert eisenstein(4, 3).coeffs == (1, 240 * sigma_oracle(1, 3), 240 * sigma_oracle(2, 3))
-    assert eisenstein(4, 3).coeffs == (1, 240, 2160)
-    assert eisenstein(6, 2).coeffs == (1, -504 * sigma_oracle(1, 5))
-    assert eisenstein(4, 1).coeffs == (Fraction(1),)
+    assert eisenstein(4, 3) == [1, 240 * sigma_oracle(1, 3), 240 * sigma_oracle(2, 3)]
+    assert eisenstein(4, 3) == [1, 240, 2160]
+    assert eisenstein(6, 2) == [1, -504 * sigma_oracle(1, 5)]
+    assert eisenstein(4, 1) == [1]
 
 
 def test_eisenstein_validates_arguments():
@@ -149,44 +133,44 @@ def test_eisenstein_validates_arguments():
 def test_e4_times_e6_matches_convolution_oracle():
     e4 = eisenstein(4, 3)
     e6 = eisenstein(6, 3)
-    expected = convolve_oracle(list(e4.coeffs), list(e6.coeffs), 3)
-    assert list((e4 * e6).coeffs) == expected
+    expected = convolve_oracle(e4, e6, 3)
+    assert _mul(e4, e6) == expected
     assert expected == [1, -264, -135432]
 
 
 def test_delta_is_integral_with_lead_one():
     d = delta(10)
-    assert d.lead == 1
-    assert all(c.denominator == 1 for c in d.coeffs)
+    assert d[:2] == [0, 1]
+    assert all(type(c) is int for c in d)
 
 
 def test_delta_matches_eta_power_oracle():
     d = delta(8)
     expected = eta24_oracle(7)  # prod (1-q^n)^24, to be shifted by q
-    assert [d.coeff(n) for n in range(1, 8)] == expected
+    assert d[1:] == expected
 
 
 def test_j_and_script_e_printed_coefficients():
-    j, e = j_and_script_e(3)
-    assert (j.coeff(-1), j.coeff(0), j.coeff(1)) == (1, 0, 196884)
-    assert (e.coeff(-1), e.coeff(0), e.coeff(1)) == (1, -240, -141444)
+    j, e = j_and_script_e(3)  # from q^-1 on
+    assert j == [1, 0, 196884]
+    assert e == [1, -240, -141444]
 
 
 def test_script_e_inverse_against_long_division_oracle():
     _, e = j_and_script_e(6)
-    inv = e.invert()
     # divide out the q^-1: 1/E = q * (1 / (1 - 240q - 141444q^2 - ...))
-    expected = long_division_oracle(list(e.coeffs), 4)
-    assert [inv.coeff(n) for n in range(1, 5)] == expected
+    inv = _div([1, 0, 0, 0, 0, 0], e)
+    expected = long_division_oracle(e, 4)
+    assert inv[:4] == expected
     assert expected[:3] == [1, 240, 199044]
 
 
 def test_script_e_is_e4e6_over_delta():
-    _, e = j_and_script_e(8)
-    d = delta(12)
-    e4e6 = eisenstein(4, 10) * eisenstein(6, 10)
-    prod = e * d
-    assert all(prod.coeff(n) == e4e6.coeff(n) for n in range(0, prod.trunc))
+    _, e = j_and_script_e(8)  # q E
+    d = delta(12)  # Delta / q is d[1:]
+    prod = _mul(e, d[1:])
+    assert len(prod) == 8
+    assert prod == _mul(eisenstein(4, 10), eisenstein(6, 10))[:8]
 
 
 def test_j_needs_two_terms():
@@ -225,7 +209,7 @@ def test_integer_quotient_needs_unit_constant_term():
 
 
 def test_delta_checks_the_exact_division(monkeypatch):
-    real = exactq._eisenstein
-    monkeypatch.setattr(exactq, "_eisenstein", lambda k, n: [v + (k == 4) for v in real(k, n)])
+    real = exactq.eisenstein
+    monkeypatch.setattr(exactq, "eisenstein", lambda k, n: [v + (k == 4) for v in real(k, n)])
     with pytest.raises(ArithmeticError, match="1728"):
         delta(4)

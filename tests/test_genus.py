@@ -8,7 +8,6 @@ from extremal2.genus import (
     CATALOG,
     category,
     ell_general,
-    exponent_matrix,
     genus,
     h_ext,
     is_admissible,
@@ -81,8 +80,9 @@ def test_ell_general_validates_length():
 
 def test_exponent_matrix_examples():
     semion = category("semion")
-    assert exponent_matrix(genus(semion, 1)) == (F(23, 24), F(5, 24))
-    assert exponent_matrix(genus(semion, 33)) == (F(-3, 8), F(7, 8))
+    g1, g33 = genus(semion, 1), genus(semion, 33)
+    assert (g1.lambda0, g1.lambda1) == (F(23, 24), F(5, 24))
+    assert (g33.lambda0, g33.lambda1) == (F(-3, 8), F(7, 8))
 
 
 def test_exponent_is_linear_in_multiples_of_24():

@@ -7,9 +7,10 @@ candidate genera per category.
 """
 
 from extremal2.bounds import (
-    bound_report,
     c_extremes,
+    negative_base_point,
     negative_threshold,
+    nmax_negative,
     nmax_positive,
     positive_threshold_witness,
 )
@@ -27,6 +28,7 @@ print(f"  n_max = {nmax_positive(chi, h)}")
 print(f"  threshold witness = {positive_threshold_witness(chi, h)} "
       f"(~{float(positive_threshold_witness(chi, h)):.4f})")
 
-rep = bound_report("semion", 0, "negative")
-print(f"negative side base point c = {rep.class_rep_c}: n_max = {rep.n_max}, "
-      f"threshold = {rep.threshold_witness} (~{float(rep.threshold_witness):.4f})")
+c, chi, h = negative_base_point("semion", 0)
+threshold = negative_threshold(chi, h)
+print(f"negative side base point c = {c}: n_max = {nmax_negative(chi, h)}, "
+      f"threshold = {threshold} (~{float(threshold):.4f})")

@@ -23,52 +23,22 @@ Two one-sided arguments turn the recurrence into a finite search window:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .chimat import CharMatrix, alpha_beta, f_minus, f_plus, seed
-from .genus import CATALOG, CategoryInfo, category
+from .chimat import CharMatrix, alpha_beta, f_minus, seed, seed_rows
+from .genus import CATALOG, CategoryInfo
 
 __all__ = [
-    "BoundReport",
     "nmax_positive",
     "positive_threshold_witness",
     "nmax_negative",
     "negative_threshold",
     "negative_base_point",
-    "bound_report",
     "c_extremes",
     "silly_estimate_holds",
     "positive_table",
     "negative_table",
 ]
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One per-class bound: the cutoff n_max plus its exact threshold data.
-
-    ``threshold_witness`` is the exact rational threshold for the negative
-    direction.  For the positive direction the true threshold is a
-    quadratic surd; the witness is then that surd when it happens to be
-    rational, and otherwise the least multiple of 1e-6 above it (computed
-    by integer square root, still without floats).
-    """
-
-    category: CategoryInfo
-    class_rep_c: Fraction
-    n_max: int
-    direction: str
-    threshold_witness: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "category": self.category.id,
-            "class_rep_c": str(self.class_rep_c),
-            "n_max": self.n_max,
-            "direction": self.direction,
-            "threshold_witness": str(self.threshold_witness),
-        }
 
 
 def _quadratic_data(m: CharMatrix, h: Fraction) -> tuple[Fraction, Fraction]:
@@ -107,8 +77,9 @@ def _isqrt_ceil(value: int) -> int:
 def positive_threshold_witness(m: CharMatrix, h: Fraction) -> Fraction:
     """Rational witness for the positive-side threshold (|M| + sqrt(disc))/480.
 
-    Exact when disc is a perfect rational square; otherwise the least
-    multiple of 1e-6 at or above the true irrational threshold.
+    Exact when disc is a perfect rational square; otherwise sqrt(disc) is
+    replaced by the least multiple of 1e-6 at or above it, so the witness
+    lies at or above the true irrational threshold.
     """
     h = Fraction(h)
     if h <= 0:
@@ -119,11 +90,10 @@ def positive_threshold_witness(m: CharMatrix, h: Fraction) -> Fraction:
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
         return (a + Fraction(rn, rd)) / 480
-    # least s with (s/10^6)^2 >= disc, i.e. s^2 * den >= num * 10^12
+    # least s with (s/10^6)^2 >= disc, i.e. s^2 * den >= num * 10^12; s^2 is an
+    # integer, so that is s^2 >= ceil(num * 10^12 / den)
     scale = 10**6
     s = _isqrt_ceil(-(-num * scale * scale // den))
-    while s * s * den < num * scale * scale:
-        s += 1
     return (a + Fraction(s, scale)) / 480
 
 
@@ -170,32 +140,12 @@ def negative_base_point(
     raise RuntimeError("no valid negative-side base point within 64 steps")
 
 
-def bound_report(cat: CategoryInfo | str, class_index: int, direction: str) -> BoundReport:
-    """Assemble the BoundReport for one (category, class, direction)."""
-    cat = category(cat if isinstance(cat, str) else cat.id)
-    if direction == "positive":
-        c, m, h = seed(cat, class_index)
-        return BoundReport(
-            cat, c, nmax_positive(m, h), "positive", positive_threshold_witness(m, h)
-        )
-    if direction == "negative":
-        c, m, h = negative_base_point(cat, class_index)
-        return BoundReport(
-            cat, c, nmax_negative(m, h), "negative", negative_threshold(m, h)
-        )
-    raise ValueError("direction must be 'positive' or 'negative'")
-
-
 def c_extremes(cat: CategoryInfo | str) -> tuple[Fraction, Fraction]:
     """(c_min, c_max) for a category, combining its three classes."""
-    cat = category(cat if isinstance(cat, str) else cat.id)
-    c_max = max(
-        (r.class_rep_c + 24 * r.n_max)
-        for r in (bound_report(cat, i, "positive") for i in range(3))
-    )
+    c_max = max(c + 24 * nmax_positive(m, h) for c, m, h in seed_rows(cat))
     c_min = min(
-        (r.class_rep_c - 24 * r.n_max)
-        for r in (bound_report(cat, i, "negative") for i in range(3))
+        c - 24 * nmax_negative(m, h)
+        for c, m, h in (negative_base_point(cat, i) for i in range(3))
     )
     return c_min, c_max
 

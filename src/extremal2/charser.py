@@ -6,11 +6,12 @@ series: the q^n coefficients a_n of (J - 240)/E and b_n of 1/E, with
 E = q^-1 - 240 - 141444q - ... .  Writing q^-Lambda Xi = sum X[n] q^n with
 X[-1] = I and X[0] = chi, the equation becomes a triangular recursion
 
-    X[n]_ij = [ sum_{m=-1}^{n-1} X[m] D_{n-m} ]_ij / (lambda_i - lambda_j + n + 1),
+    X[n]_ij = ( S_a,ij (lambda_j - 1) + sum_k S_b,ik B_kj ) / (lambda_i - lambda_j + n + 1),
 
-    D_k = a_k (Lambda - I) + b_k (chi + [Lambda, chi]),
+    S_a = sum_{m=-1}^{n-1} a_{n-m} X[m],   S_b = sum_{m=-1}^{n-1} b_{n-m} X[m],
 
-whose denominators lie in {n+1, n+2-h, h+n} and never vanish because the
+with B = chi + [Lambda, chi], i.e. B_ij = chi_ij (1 + lambda_i - lambda_j).
+The denominators lie in {n+1, n+2-h, h+n} and never vanish because the
 extremal weight h is never an integer.  The n = 0 instance must reproduce
 chi itself, which pins the normalization (a_0 = 1, a_1 = 0, b_1 = 1);
 every expansion checks it and raises ``ValueError`` when it fails.
@@ -34,7 +35,6 @@ __all__ = [
     "Mat2",
     "FundamentalExpansion",
     "CharacterVector",
-    "d_coefficients",
     "expand",
     "character_vector",
     "holomorphic_sum_check",
@@ -52,50 +52,16 @@ _ZERO = Fraction(0)
 _IDENTITY: Mat2 = ((Fraction(1), _ZERO), (_ZERO, Fraction(1)))
 
 
-def _madd(p: Mat2, q: Mat2) -> Mat2:
-    return tuple(
-        tuple(p[i][j] + q[i][j] for j in range(2)) for i in range(2)
-    )  # type: ignore[return-value]
-
-
-def _mmul(p: Mat2, q: Mat2) -> Mat2:
-    return tuple(
-        tuple(sum(p[i][k] * q[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
-    )  # type: ignore[return-value]
-
-
-def _mscale(s: int | Fraction, p: Mat2) -> Mat2:
-    return tuple(tuple(s * e for e in row) for row in p)  # type: ignore[return-value]
-
-
 def _chi_mat(m: CharMatrix) -> Mat2:
     return ((m.x, m.y), (m.z, m.w))
 
 
-def d_coefficients(g: Genus, m: CharMatrix, order: int) -> list[Mat2]:
-    """Matrices D_0 .. D_order of the expansion coefficient series.
-
-    D_n = a_n (Lambda - I) + b_n (chi + [Lambda, chi]) with a_n, b_n the
-    q^n coefficients of (J - 240)/E and 1/E; in particular D_0 = Lambda - I.
-    """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    a, b = ode_series(order + 1)
-    lam = (g.lambda0, g.lambda1)
-    lam_minus_id: Mat2 = (
-        (lam[0] - 1, _ZERO),
-        (_ZERO, lam[1] - 1),
-    )
-    # chi + Lambda chi - chi Lambda has (i, j) entry chi_ij (1 + lam_i - lam_j).
-    comm: Mat2 = tuple(
-        tuple(_chi_mat(m)[i][j] * (1 + lam[i] - lam[j]) for j in range(2))
+def _weighted_sum(weights: list[int], mats: list[Mat2]) -> list[list[Fraction]]:
+    """Entry by entry, sum_k weights[k] mats[k]."""
+    return [
+        [sum(w * x[i][j] for w, x in zip(weights, mats)) for j in range(2)]
         for i in range(2)
-    )  # type: ignore[assignment]
-    out = []
-    for n in range(order + 1):
-        out.append(_madd(_mscale(a[n], lam_minus_id), _mscale(b[n], comm)))
-    return out
+    ]
 
 
 @dataclass(frozen=True)
@@ -130,21 +96,25 @@ def expand(g: Genus, m: CharMatrix, order: int = 8) -> FundamentalExpansion:
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    d = d_coefficients(g, m, order + 1)
+    a, b = ode_series(order + 2)
     lam = (g.lambda0, g.lambda1)
-    coeffs: list[Mat2] = [_IDENTITY, _chi_mat(m)]
+    chi = _chi_mat(m)
+    # B = chi + Lambda chi - chi Lambda has (i, j) entry chi_ij (1 + lam_i - lam_j).
+    bm = [[chi[i][j] * (1 + lam[i] - lam[j]) for j in range(2)] for i in range(2)]
 
-    # Order-0 self-consistency: (lam_i - lam_j + 1) chi_ij = [X[-1] D_1]_ij.
-    rhs0 = d[1]
+    # Order-0 self-consistency: (lam_i - lam_j + 1) chi_ij = a_1 (Lambda - I)_ij + b_1 B_ij.
     for i in range(2):
         for j in range(2):
-            if (lam[i] - lam[j] + 1) * _chi_mat(m)[i][j] != rhs0[i][j]:
+            diag = lam[i] - 1 if i == j else 0
+            rhs = a[1] * diag + b[1] * bm[i][j]
+            if (lam[i] - lam[j] + 1) * chi[i][j] != rhs:
                 raise ValueError("chi inconsistent with ODE at order 0")
 
+    coeffs: list[Mat2] = [_IDENTITY, chi]
     for n in range(1, order + 1):
-        acc: Mat2 = ((_ZERO, _ZERO), (_ZERO, _ZERO))
-        for mp in range(-1, n):
-            acc = _madd(acc, _mmul(coeffs[mp + 1], d[n - mp]))
+        # coeffs[k] is X[k - 1], weighted by a_(n + 1 - k) and b_(n + 1 - k)
+        sa = _weighted_sum(a[n + 1 : 0 : -1], coeffs)
+        sb = _weighted_sum(b[n + 1 : 0 : -1], coeffs)
         entries = []
         for i in range(2):
             row = []
@@ -154,7 +124,8 @@ def expand(g: Genus, m: CharMatrix, order: int = 8) -> FundamentalExpansion:
                     raise ValueError(
                         f"vanishing recursion denominator at order {n}, entry ({i},{j})"
                     )
-                row.append(acc[i][j] / den)
+                num = sa[i][j] * (lam[j] - 1) + sb[i][0] * bm[0][j] + sb[i][1] * bm[1][j]
+                row.append(num / den)
             entries.append(tuple(row))
         coeffs.append(tuple(entries))  # type: ignore[arg-type]
     return FundamentalExpansion(g, m, tuple(coeffs))

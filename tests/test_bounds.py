@@ -6,9 +6,10 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from extremal2.bounds import (
-    bound_report,
     c_extremes,
     negative_base_point,
     negative_threshold,
@@ -78,6 +79,32 @@ def test_positive_witness_consistent_with_nmax():
             w = positive_threshold_witness(m, h)
             assert n_max + 1 > w
             assert n_max == 0 or n_max <= w  # w is an upper bound on the root
+
+
+def _just_below_a_square(s: int) -> tuple[F, F, F]:
+    """(x, w, h) with |M| = 0 and disc * 10^12 = s^2 - 1/2, so the least step is s."""
+    x = F(2 * s * s - 1, 2 * 960 * 10**12)
+    return x, 240 - x, F(2)
+
+
+@given(
+    st.tuples(
+        st.fractions(-1000, 1000, max_denominator=30),
+        st.fractions(-1000, 1000, max_denominator=30),
+        st.fractions(0, 20, max_denominator=12).filter(bool),
+    )
+    | st.integers(1, 10**9).map(_just_below_a_square)
+)
+def test_positive_witness_is_the_least_micro_step_above_the_root(xwh):
+    """The witness is (|M| + r)/480 with r = sqrt(disc) when that is rational,
+    otherwise the least multiple r of 1e-6 with r >= sqrt(disc)."""
+    x, w, h = xwh
+    a = abs(x + w - 240 * (h - 1))
+    disc = a * a + 960 * abs((h - 1) * x)
+    r = 480 * positive_threshold_witness(CharMatrix(x, 1, 1, w), h) - a
+    if r * r != disc:
+        assert (r * 10**6).denominator == 1
+        assert (r - F(1, 10**6)) ** 2 < disc < r * r
 
 
 def test_positive_table_matches_fixture():
@@ -199,15 +226,11 @@ def test_c_extremes_golden_values():
         assert c_extremes(cat) == GOLDEN_EXTREMES[cat.id]
 
 
-def test_bound_report_serializes():
-    rep = bound_report("semion", 0, "negative")
-    data = rep.to_json()
-    assert data["category"] == "semion"
-    assert data["class_rep_c"] == "-23"
-    assert data["n_max"] == 0
-    assert F(data["threshold_witness"]) == F(6, 43)
-    with pytest.raises(ValueError):
-        bound_report("semion", 0, "sideways")
+def test_semion_class0_negative_side():
+    c, m, h = negative_base_point("semion", 0)
+    assert c == -23
+    assert nmax_negative(m, h) == 0
+    assert negative_threshold(m, h) == F(6, 43)
 
 
 def test_silly_estimate_examples():

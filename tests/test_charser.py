@@ -16,12 +16,11 @@ from extremal2.charser import (
     branching_diagnostic,
     character_vector,
     coset_extension_sum_check,
-    d_coefficients,
     expand,
     holomorphic_sum_check,
 )
 from extremal2.chimat import CharMatrix, f_plus, seed_rows
-from extremal2.classify import chi_of, classify_all
+from extremal2.classify import candidates, chi_of, classify_all
 from extremal2.exactq import ode_series
 from extremal2.genus import CATALOG, category, genus
 
@@ -45,22 +44,43 @@ def test_scalar_coefficient_series():
     assert b[:3] == [0, 1, 240]
 
 
-def test_d0_is_lambda_minus_identity():
-    g = genus(category("semion"), 1)
-    d = d_coefficients(g, chi_of("semion", 1), 2)
-    assert d[0] == ((g.lambda0 - 1, F(0)), (F(0), g.lambda1 - 1))
+def _mul(p, q):
+    return tuple(tuple(sum(p[i][k] * q[k][j] for k in range(2)) for j in range(2)) for i in range(2))
 
 
-def test_d1_entry_structure():
-    # D_1 = chi + [Lambda, chi]: entry (i, j) is chi_ij (1 + lam_i - lam_j)
-    g = genus(category("semion"), 1)
-    m = chi_of("semion", 1)
-    d = d_coefficients(g, m, 1)
-    h = g.h_ext
-    assert d[1] == (
-        (m.x, m.y * (2 - h)),
-        (m.z * h, m.w),
-    )
+def _lin(s, p, t, q):
+    return tuple(tuple(s * p[i][j] + t * q[i][j] for j in range(2)) for i in range(2))
+
+
+def schoolbook_coeffs(g, m, order):
+    """X[-1] .. X[order] from the explicit matrices
+    D_k = a_k (Lambda - I) + b_k (chi + Lambda chi - chi Lambda)
+    and X[n] = [sum_{m=-1}^{n-1} X[m] D_{n-m}]_ij / (lam_i - lam_j + n + 1)."""
+    a, b = ode_series(order + 2)
+    lam = (g.lambda0, g.lambda1)
+    big_lam = ((lam[0], F(0)), (F(0), lam[1]))
+    chi = ((m.x, m.y), (m.z, m.w))
+    comm = _lin(1, chi, 1, _lin(1, _mul(big_lam, chi), -1, _mul(chi, big_lam)))
+    d = [_lin(a[k], _lin(1, big_lam, -1, IDENTITY), b[k], comm) for k in range(order + 2)]
+    xs = [IDENTITY, chi]
+    for n in range(1, order + 1):
+        acc = ((F(0), F(0)), (F(0), F(0)))
+        for k in range(-1, n):
+            acc = _lin(1, acc, 1, _mul(xs[k + 1], d[n - k]))
+        xs.append(
+            tuple(tuple(acc[i][j] / (lam[i] - lam[j] + n + 1) for j in range(2)) for i in range(2))
+        )
+    return tuple(xs)
+
+
+def test_expansion_matches_schoolbook_d_matrices_on_every_candidate():
+    count = 0
+    for cat in CATALOG:
+        for c, m, _ in candidates(cat):
+            g = genus(cat, c)
+            assert expand(g, m, 12).coeffs == schoolbook_coeffs(g, m, 12), (cat.id, c)
+            count += 1
+    assert count == 74
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Every script under demos/ runs to completion; two print pinned golden text."""
+"""Every script under demos/ runs to completion and prints its pinned golden text."""
 
 from __future__ import annotations
 
@@ -29,8 +29,7 @@ def run_demo(path: Path) -> subprocess.CompletedProcess:
 def test_demo_runs(path):
     result = run_demo(path)
     assert result.returncode == 0, result.stderr
-    if path.stem in ("01_exact_series", "05_characters"):
-        assert result.stdout.encode() == (GOLDEN / f"{path.stem}.txt").read_bytes()
+    assert result.stdout.encode() == (GOLDEN / f"{path.stem}.txt").read_bytes()
     if path.stem == "06_codes":
         # the certificate words print in the notation of `rm verify`
         fixture = json.loads(

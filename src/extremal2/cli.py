@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -317,15 +318,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--category", default=None)
     add_common(p_classify)
 
+    def add_genus(p):
+        p.add_argument("--category", required=True)
+        p.add_argument("--c", required=True, type=_parse_fraction)
+        # argparse takes a token that starts with "-" for an option unless its
+        # private pattern calls it a negative int or decimal; widen that
+        # pattern to fractions so "--c -22/5" parses like "--c=-22/5"
+        p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     p_char = sub.add_parser("character", help="character vector of a genus")
-    p_char.add_argument("--category", required=True)
-    p_char.add_argument("--c", required=True, type=_parse_fraction)
+    add_genus(p_char)
     p_char.add_argument("--order", type=int, default=8)
     add_common(p_char, formats=("json", "md"))
 
     p_chi = sub.add_parser("chi", help="characteristic matrix of a genus")
-    p_chi.add_argument("--category", required=True)
-    p_chi.add_argument("--c", required=True, type=_parse_fraction)
+    add_genus(p_chi)
     add_common(p_chi, formats=("json", "md"), check=False)
 
     p_rm = sub.add_parser("rm", help="binary-code certificates")

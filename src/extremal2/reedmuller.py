@@ -18,17 +18,22 @@ the block characterization
     (a, b, c, d) in RM(4,6)  iff  a+b+c+d in RM(2,4) and
                                   wt(a) = wt(b) = wt(c) = wt(d) (mod 2).
 
-On top of these sit the certification scans: the subcode/doubly-even
-conditions (i)-(iv) for words xi = (nu1, nu2, nu3, nu4), the sweep over
-weight-6 words of RM(2,4) whose coset xi + RM(1,6) always has weight
-enumerator 64 x^28 + 64 x^36, and the explicit word of the construction
-whose minimum coset weight 28 certifies twisted-module top weight
-28/16 = 7/4.
+On top of these sit the certification scans: the minimum weight 4 of
+RM(4,6), whose scan puts all 43744 words of weight at most 3 through the
+block characterization (``rm46_member``); the subcode/doubly-even
+conditions (i)-(iv) for words xi = (nu1, nu2, nu3, nu4), whose brute force
+tests every product xi * g, g in RM(1,6), by dual orthogonality (the
+definition of ``rm46_member_dual``, read from a bit-sliced table); the
+sweep over weight-6 words of RM(2,4) whose coset xi + RM(1,6) always has
+weight enumerator 64 x^28 + 64 x^36; and the explicit word of the
+construction whose minimum coset weight 28 certifies twisted-module top
+weight 28/16 = 7/4.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -218,14 +223,21 @@ def _rm16_words() -> tuple[int, ...]:
     return tuple(rm_codes().rm16.codewords())
 
 
+@lru_cache(maxsize=1)
+def _dual_columns() -> tuple[int, ...]:
+    """The distinct masks g & h (g in RM(1,6), h in its basis: 485 of 896
+    pairs) bit-sliced: bit k of column i is bit i of the k-th mask."""
+    masks = dict.fromkeys(g & h for g in _rm16_words() for h in rm_codes().rm16.basis)
+    return tuple(sum(1 << k for k, m in enumerate(masks) if m >> i & 1) for i in range(64))
+
+
 def rm46_member(bits: int) -> bool:
     """Block characterization of RM(4,6) membership (no enumeration)."""
     _check64(bits)
     a, b, c, d = _blocks(bits)
     parity = a.bit_count() & 1
-    if any(blk.bit_count() & 1 != parity for blk in (b, c, d)):
-        return False
-    return (a ^ b ^ c ^ d) in _rm24_bitset()
+    return (b.bit_count() & 1 == parity and c.bit_count() & 1 == parity
+            and d.bit_count() & 1 == parity and (a ^ b ^ c ^ d) in _rm24_bitset())
 
 
 def rm46_member_dual(bits: int) -> bool:
@@ -241,12 +253,10 @@ def min_weight_rm46() -> tuple[int, int]:
     produces a weight-4 member by planting a weight-4 RM(2,4) word in the
     first block.
     """
+    units = [1 << (63 - p) for p in range(64)]
     for wt in (1, 2, 3):
-        for positions in itertools.combinations(range(64), wt):
-            bits = 0
-            for p in positions:
-                bits |= 1 << (63 - p)
-            if rm46_member(bits):
+        for combo in itertools.combinations(units, wt):
+            if rm46_member(sum(combo)):
                 raise RuntimeError(f"unexpected weight-{wt} word in RM(4,6)")
     planted = [w for w in rm_codes().rm24.codewords() if w.bit_count() == 4]
     if not planted:
@@ -300,17 +310,20 @@ def lemma5_check(xi: int) -> Lemma5Report:
     cond_iv = all(
         (xi & g).bit_count() % 4 == 0 for g in rm_codes().rm16.basis[:5]
     )
-    products = [xi & g for g in _rm16_words()]
-    subcode_ok = all(rm46_member_dual(p) for p in products)
-    doubly_even_ok = subcode_ok and all(p.bit_count() % 4 == 0 for p in products)
+    # rm46_member_dual(xi & g) for every g in RM(1,6): each xi & g & h, h in
+    # the basis, has even weight.  Bit k of the XOR of the columns under the
+    # bits of xi is the parity of xi & (k-th mask g & h).
+    parities = 0
+    for i, column in enumerate(_dual_columns()):
+        if xi >> i & 1:
+            parities ^= column
+    subcode_ok = parities == 0
+    doubly_even_ok = subcode_ok and not any((xi & g).bit_count() & 3 for g in _rm16_words())
     return Lemma5Report(cond_i, cond_ii, cond_iii, cond_iv, subcode_ok, doubly_even_ok)
 
 
 def _coset_enumerator(xi: int) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for g in _rm16_words():
-        w = (xi ^ g).bit_count()
-        counts[w] = counts.get(w, 0) + 1
+    counts = Counter([(xi ^ g).bit_count() for g in _rm16_words()])
     return dict(sorted(counts.items()))
 
 
@@ -327,9 +340,9 @@ class Lemma6Report:
 def lemma6_scan() -> Lemma6Report:
     """For every weight-6 alpha in RM(2,4), certify (alpha,alpha,alpha,alpha^c)."""
     expected = {28: 64, 36: 64}
+    observed = expected  # all cosets' shared enumerator, or the first that differs
     count = 0
     conditions_ok = True
-    cosets_ok = True
     for alpha in rm_codes().rm24.codewords():
         if alpha.bit_count() != 6:
             continue
@@ -344,9 +357,10 @@ def lemma6_scan() -> Lemma6Report:
             and report.doubly_even_ok
         ):
             conditions_ok = False
-        if _coset_enumerator(xi) != expected:
-            cosets_ok = False
-    return Lemma6Report(count, conditions_ok, cosets_ok, expected)
+        enum = _coset_enumerator(xi)
+        if observed == expected and enum != expected:
+            observed = enum
+    return Lemma6Report(count, conditions_ok, observed == expected, observed)
 
 
 # The explicit weight-6 word of the c = 33 construction.

@@ -19,6 +19,7 @@ from extremal2.genus import CATALOG
 PKG = [sys.executable, "-m", "extremal2"]
 # Stdout digests of the seed commit, kept with the benchmark (read only here).
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args: str):
@@ -145,11 +146,31 @@ def test_chi_subcommand_negative_charge():
     assert data["h_ext"] == "-1/5"
 
 
+@pytest.mark.parametrize("argv", [("character", "--category", "yang-lee", "--order", "5"),
+                                  ("chi", "--category", "yang-lee")])
+def test_negative_fractional_c_parses_with_or_without_equals(argv):
+    rc_spaced, spaced = run_main(*argv, "--c", "-22/5")
+    rc_joined, joined = run_main(*argv, "--c=-22/5")
+    assert rc_spaced == rc_joined == 0
+    assert spaced == joined
+    assert json.loads(spaced)["c"] == "-22/5"
+
+
+def test_negative_c_forms_that_parse_and_one_that_does_not(capsys):
+    rc, out = run_main("chi", "--category", "semion", "--c", "-23")
+    assert rc == 0 and json.loads(out)["c"] == "-23"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["chi", "--category", "semion", "--c", "-x/5"])
+    assert exc.value.code == 2
+    assert "argument --c: expected one argument" in capsys.readouterr().err
+
+
 def test_rm_verify_check_and_md():
     res = run_cli("rm", "verify", "--check")
     assert res.returncode == 0
     res = run_cli("rm", "verify", "--format", "md")
-    assert "top weight 7/4" in res.stdout
+    assert res.returncode == 0
+    assert res.stdout.encode() == (GOLDEN / "rm_verify.md").read_bytes()
 
 
 def test_out_writes_file(tmp_path):

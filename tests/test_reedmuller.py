@@ -177,6 +177,13 @@ def test_min_weight_raises_on_a_broken_membership_test(monkeypatch):
         min_weight_rm46()
 
 
+def test_min_weight_scan_reaches_the_last_weight3_word(monkeypatch):
+    # positions 61, 62, 63: the last of the 43744 words in scan order
+    monkeypatch.setattr(reedmuller, "rm46_member", lambda bits: bits == 0b111)
+    with pytest.raises(RuntimeError, match="unexpected weight-3"):
+        min_weight_rm46()
+
+
 def test_weight_census_matches_macwilliams_transform():
     """Count RM(4,6) words of weight <= 4 and compare with the transform
     of RM(1,6)'s enumerator (an independent binomial computation)."""
@@ -254,6 +261,53 @@ def test_lemma5_equivalences_on_structured_words():
         if report.subcode_ok:
             passing += 1
     assert passing > 0
+
+
+def lemma5_oracle(xi: int) -> tuple[bool, bool, list[tuple[int, int]]]:
+    """subcode_ok, doubly_even_ok and the coset enumerator, computed one
+    product and one coset word at a time from the RM(1,6) span."""
+    words = rm_codes().rm16.codewords()
+    products = [xi & g for g in words]
+    subcode_ok = all(rm46_member_dual(p) for p in products)
+    doubly_even_ok = subcode_ok and all(p.bit_count() % 4 == 0 for p in products)
+    counts: dict[int, int] = {}
+    for g in words:
+        w = (xi ^ g).bit_count()
+        counts[w] = counts.get(w, 0) + 1
+    return subcode_ok, doubly_even_ok, sorted(counts.items())
+
+
+def test_lemma5_and_cosets_match_the_product_by_product_oracle():
+    rng = random.Random(2024)
+    rm24 = rm_codes().rm24.codewords()
+    lemma6 = [_join(a, a, a, a ^ 0xFFFF) for a in rm24 if a.bit_count() == 6]
+    randoms = [rng.getrandbits(64) for _ in range(500)]
+    structured = [_join(*rng.choices(rm24, k=4)) for _ in range(500)]
+    flipped = [xi ^ (1 << rng.randrange(64)) for xi in structured]
+    verdicts = set()
+    for xi in lemma6 + randoms + structured + flipped:
+        report = lemma5_check(xi)
+        subcode_ok, doubly_even_ok, cosets = lemma5_oracle(xi)
+        assert (report.subcode_ok, report.doubly_even_ok) == (subcode_ok, doubly_even_ok)
+        assert list(reedmuller._coset_enumerator(xi).items()) == cosets
+        verdicts.add((subcode_ok, doubly_even_ok))
+    # the sample reaches every outcome: fails the subcode test, is a
+    # subcode but not doubly even, and passes both
+    assert verdicts == {(False, False), (True, False), (True, True)}
+
+
+def test_lemma6_reports_the_first_differing_coset_enumerator(monkeypatch):
+    words = reedmuller._rm16_words()
+    dropped = words[2]  # weight 32: each coset loses a word of weight 28 or 36
+    reedmuller._dual_columns()  # cached from the whole code, before the patch
+    monkeypatch.setattr(reedmuller, "_rm16_words", lambda: words[:2] + words[3:])
+    alphas = [a for a in rm_codes().rm24.codewords() if a.bit_count() == 6]
+    lost = [(_join(a, a, a, a ^ 0xFFFF) ^ dropped).bit_count() for a in alphas]
+    assert lost[0] == 28 and 36 in lost
+    report = lemma6_scan()
+    assert report.weight6_count == 448
+    assert not report.all_cosets_match
+    assert report.coset_enumerator == {28: 63, 36: 64}
 
 
 def test_self_orthogonality_of_passing_products():

@@ -24,8 +24,8 @@ sum_k coeffs[k] q^(offset + k), known exactly for k < len(coeffs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chimat import CharMatrix
 from .exactq import ode_series
@@ -64,8 +64,7 @@ def _weighted_sum(weights: list[int], mats: list[Mat2]) -> list[list[Fraction]]:
     ]
 
 
-@dataclass(frozen=True)
-class FundamentalExpansion:
+class FundamentalExpansion(NamedTuple):
     """Shifted expansion q^-Lambda Xi = sum_{n >= -1} X[n] q^n up to an order.
 
     ``coeffs[k]`` is X[k - 1]; X[-1] is the identity and X[0] the
@@ -131,8 +130,7 @@ def expand(g: Genus, m: CharMatrix, order: int = 8) -> FundamentalExpansion:
     return FundamentalExpansion(g, m, tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class CharacterVector:
+class CharacterVector(NamedTuple):
     """First column of the fundamental matrix, as two exponent/series pairs.
 
     ``series0`` lists the coefficients of q^(exponent0) * (1 + x0 q + ...);
@@ -245,8 +243,7 @@ def coset_extension_sum_check() -> bool:
     )
 
 
-@dataclass(frozen=True)
-class BranchingDiagnostic:
+class BranchingDiagnostic(NamedTuple):
     """Comparison of the naive coset x A1-level-1 branching product.
 
     ``computed`` is coset(h=0) * A1-vacuum + coset(h=7/4) * A1-spin under

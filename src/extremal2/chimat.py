@@ -15,8 +15,9 @@ matrices in the pipeline are reached from these 24 by iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .genus import CategoryInfo, category
 
@@ -36,40 +37,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CharMatrix:
-    """Exact 2x2 matrix ((x, y), (z, w)) of rationals."""
+class CharMatrix(namedtuple("CharMatrix", "x y z w")):
+    """Exact 2x2 matrix ((x, y), (z, w)) of rationals; entries are coerced
+    to ``Fraction`` (``NamedTuple`` cannot override ``__new__``)."""
 
-    x: Fraction
-    y: Fraction
-    z: Fraction
-    w: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z", "w"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __new__(cls, x, y, z, w):
+        return super().__new__(cls, Fraction(x), Fraction(y), Fraction(z), Fraction(w))
 
     @classmethod
     def from_rows(cls, rows) -> "CharMatrix":
         (x, y), (z, w) = rows
-        return cls(Fraction(x), Fraction(y), Fraction(z), Fraction(w))
+        return cls(x, y, z, w)
 
     def first_column(self) -> tuple[Fraction, Fraction]:
         return (self.x, self.z)
 
     def to_json(self) -> dict[str, str]:
-        return {k: str(getattr(self, k)) for k in ("x", "y", "z", "w")}
+        return {k: str(v) for k, v in zip(self._fields, self)}
 
     @classmethod
     def from_json(cls, data: dict[str, str]) -> "CharMatrix":
-        return cls(*(Fraction(data[k]) for k in ("x", "y", "z", "w")))
+        return cls(*(data[k] for k in cls._fields))
 
     def __str__(self) -> str:
         return f"[[{self.x}, {self.y}], [{self.z}, {self.w}]]"
 
 
-@dataclass(frozen=True)
-class AlphaBeta:
+class AlphaBeta(NamedTuple):
     """The reduced pair (chi_00 - chi_11, chi_10 * chi_01)."""
 
     alpha: Fraction

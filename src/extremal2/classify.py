@@ -19,8 +19,8 @@ filter, leaving the 15 classified genera.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bounds import c_extremes
 from .charser import character_vector, expand
@@ -94,8 +94,7 @@ def character_admissible(
     return vec.is_nonneg_integral()
 
 
-@dataclass(frozen=True)
-class CandidateOutcome:
+class CandidateOutcome(NamedTuple):
     """Filter trace for one candidate genus.
 
     ``series_ok`` is only evaluated when the constant-term filter passes
@@ -127,8 +126,7 @@ def survey(order: int = 8) -> list[CandidateOutcome]:
     return out
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(NamedTuple):
     """One surviving genus with its exact data and a realization note."""
 
     category: CategoryInfo

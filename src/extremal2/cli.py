@@ -298,6 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, formats=("json", "csv", "md"), check=True):
+        # main reports argument errors found after parsing through the
+        # subcommand's own parser, as argparse reports its own
+        p.set_defaults(subparser=p)
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None, help="write output to a file")
         if check:
@@ -368,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "order", 1) < 1:
             raise ValueError("--order must be at least 1")
     except ValueError as exc:
-        parser.error(str(exc))
+        args.subparser.error(str(exc))
 
     md = fixture = None
     if args.command == "catalog":

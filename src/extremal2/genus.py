@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "Surd",
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Surd:
+class Surd(NamedTuple):
     """Exact number a + b*sqrt(d) with rational a, b and d in {1, 5}."""
 
     a: Fraction
@@ -60,8 +59,7 @@ def _s(a, b=0) -> Surd:
     return Surd(Fraction(a), Fraction(b), 5)
 
 
-@dataclass(frozen=True)
-class CategoryInfo:
+class CategoryInfo(NamedTuple):
     """One catalog row: id, exact S-matrix data, and the two residue classes.
 
     The S-matrix is ``s_num / sqrt(s_norm)`` entrywise; ``s_num`` entries
@@ -156,8 +154,7 @@ def ell_general(n: int, c: Fraction | int, h: list[Fraction]) -> Fraction:
     return Fraction(n * (n - 1), 2) + n * Fraction(c) / 4 - 6 * sum(h, Fraction(0))
 
 
-@dataclass(frozen=True)
-class Genus:
+class Genus(NamedTuple):
     """A category together with an admissible central charge.
 
     ``ell`` is 1 + c/2 - 6*h_ext, always an integer in 0..5;

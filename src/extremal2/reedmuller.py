@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = [
     "word",
@@ -186,8 +186,7 @@ _ALPHA_ROWS = ("1111111111111111", "1111111100000000", "1111000011110000",
                "1100110011001100", "1010101010101010")
 
 
-@dataclass(frozen=True)
-class RMCodes:
+class RMCodes(NamedTuple):
     rm14: LinearCode
     rm24: LinearCode
     rm16: LinearCode
@@ -267,8 +266,7 @@ def min_weight_rm46() -> tuple[int, int]:
     return 4, witness
 
 
-@dataclass(frozen=True)
-class Lemma5Report:
+class Lemma5Report(NamedTuple):
     """Subcode/doubly-even conditions for xi = (nu1, nu2, nu3, nu4).
 
     (i)   nu1+nu2+nu3+nu4 in RM(1,4)
@@ -327,8 +325,7 @@ def _coset_enumerator(xi: int) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-@dataclass(frozen=True)
-class Lemma6Report:
+class Lemma6Report(NamedTuple):
     """Sweep over every weight-6 word of RM(2,4)."""
 
     weight6_count: int
@@ -372,8 +369,7 @@ def construction_xi() -> int:
     return _join(XI_ALPHA, XI_ALPHA, XI_ALPHA, XI_ALPHA ^ _MASK16)
 
 
-@dataclass(frozen=True)
-class XiCertificate:
+class XiCertificate(NamedTuple):
     xi: int
     alpha_in_rm24: bool
     alpha_weight: int

@@ -260,3 +260,16 @@ def test_charmatrix_json_roundtrip():
     m = CharMatrix(F(713, 11), F(-3, 8), F(1, 26752), F(0))
     assert m.to_json() == {"x": "713/11", "y": "-3/8", "z": "1/26752", "w": "0"}
     assert CharMatrix.from_json(m.to_json()) == m
+
+
+def test_charmatrix_coerces_entries_to_fractions():
+    m = CharMatrix(3, 26752, 2, "-247")
+    assert all(type(v) is Fraction for v in m)
+    assert m.x == 3 and m.w == -247
+    assert CharMatrix.from_rows(((3, 26752), (2, -247))) == m
+
+
+@given(rationals, rationals, rationals, rationals)
+def test_charmatrix_json_roundtrip_property(x, y, z, w):
+    m = CharMatrix(x, y, z, w)
+    assert CharMatrix.from_json(m.to_json()) == m

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from extremal2 import classify, cli
-from extremal2.chimat import alpha_beta, g_closed, k_closed, seed_rows
+from extremal2.chimat import CharMatrix, alpha_beta, g_closed, k_closed, seed_rows
 from extremal2.genus import CATALOG
 
 PKG = [sys.executable, "-m", "extremal2"]
@@ -128,15 +128,25 @@ def test_character_check_without_fixture_row_is_mismatch():
 
 
 def test_usage_errors_exit_2():
-    res = run_cli("character", "--category", "semion", "--c", "2")
-    assert res.returncode == 2
-    assert "class mod 8" in res.stderr
-    res = run_cli("character", "--category", "nonsense", "--c", "1")
-    assert res.returncode == 2
-    res = run_cli("character", "--category", "semion", "--c", "1", "--order", "0")
-    assert res.returncode == 2
-    res = run_cli("bounds", "--table", "sideways")
-    assert res.returncode == 2
+    # errors found after parsing come from the subcommand's parser, as argparse's own do
+    for argv, message in [
+        (("character", "--category", "semion", "--c", "2"), "class mod 8"),
+        (("character", "--category", "nonsense", "--c", "1"), "unknown category"),
+        (("character", "--category", "semion", "--c", "1", "--order", "0"), "--order"),
+        (("chi", "--category", "semion", "--c", "-1.5"), "class mod 8"),
+        (("bounds", "--table", "sideways"), "invalid choice"),
+    ]:
+        res = run_cli(*argv)
+        assert res.returncode == 2 and res.stdout == ""
+        assert f"usage: extremal2 {argv[0]} [-h]" in res.stderr
+        assert f"extremal2 {argv[0]}: error: " in res.stderr and message in res.stderr
+
+
+def test_encode_keeps_a_charmatrix_a_dict():
+    # CharMatrix is a tuple, so _encode must catch it before the list branch
+    m = CharMatrix(3, 26752, 2, -247)
+    assert cli._encode(m) == {"x": "3", "y": "26752", "z": "2", "w": "-247"}
+    assert cli._encode([m, (Fraction(1, 2),)]) == [m.to_json(), ["1/2"]]
 
 
 def test_chi_subcommand_negative_charge():

@@ -1,4 +1,5 @@
-"""The package root loads no layer: importing one module loads only that one."""
+"""What a fresh interpreter loads: the package root loads no layer, and the
+CLI loads every layer but nothing that slows start-up."""
 
 from __future__ import annotations
 
@@ -10,15 +11,33 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def test_importing_one_layer_loads_no_other():
-    code = (
-        "import sys, extremal2.reedmuller; "
-        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'extremal2')))"
-    )
+def loaded_modules(statement: str) -> set[str]:
+    """Names in ``sys.modules`` after ``statement`` runs in a fresh interpreter."""
+    code = f"{statement}\nimport sys; print(' '.join(sys.modules))"
     path_var = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path_var if path_var else SRC)
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["extremal2", "extremal2.reedmuller"]
+    return set(result.stdout.split())
+
+
+def test_importing_one_layer_loads_no_other():
+    loaded = loaded_modules("import extremal2.reedmuller")
+    assert {m for m in loaded if m.split(".")[0] == "extremal2"} == {
+        "extremal2", "extremal2.reedmuller"}
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # measured against a bare interpreter, so whatever ``site`` preloads is not counted
+    extra = loaded_modules("import extremal2.cli") - loaded_modules("pass")
+    assert "dataclasses" not in extra and "inspect" not in extra
+
+
+def test_cli_import_loads_every_traced_layer():
+    """``perfbench/traced_cli.py`` reads these six layers from ``sys.modules``
+    right after ``import extremal2.cli`` to wrap their functions, so importing
+    a layer only inside the subcommand that needs it would break ``--trace 1``."""
+    layers = {"exactq", "chimat", "bounds", "classify", "charser", "reedmuller"}
+    assert {f"extremal2.{name}" for name in layers} <= loaded_modules("import extremal2.cli")

@@ -47,6 +47,11 @@ class CharMatrix(namedtuple("CharMatrix", "x y z w")):
         return super().__new__(cls, Fraction(x), Fraction(y), Fraction(z), Fraction(w))
 
     @classmethod
+    def _make(cls, iterable) -> "CharMatrix":
+        # the inherited _make, which _replace builds through, skips __new__
+        return cls(*iterable)
+
+    @classmethod
     def from_rows(cls, rows) -> "CharMatrix":
         (x, y), (z, w) = rows
         return cls(x, y, z, w)

@@ -9,7 +9,7 @@ graded dimensions:
 * constant-term filter: chi_00 and chi_10 are non-negative integers
   (chi_00 = dim V(1) may be zero);
 * series filter: every expansion coefficient of both character components
-  through the working order is a non-negative integer.
+  through ``SERIES_ORDER`` is a non-negative integer.
 
 The constant-term filter alone leaves 18 candidates; exactly three of
 them (semion-dagger at 27, yang-lee at 138/5, yang-lee-bar at 142/5)
@@ -28,36 +28,36 @@ from .chimat import CharMatrix, iterate, seed_rows
 from .genus import CATALOG, CategoryInfo, category, genus
 
 __all__ = [
-    "ClassificationRow",
+    "SERIES_ORDER",
     "CandidateOutcome",
     "chi_of",
     "candidates",
     "first_column_admissible",
-    "character_admissible",
     "survey",
     "classify_all",
     "GOLDEN_GENERA",
     "matches_golden",
 ]
 
+# the series filter checks both character components through this order
+SERIES_ORDER = 8
+
 
 def chi_of(cat: CategoryInfo | str, c: Fraction | int) -> CharMatrix:
     """Characteristic matrix at any admissible c, reached from its class seed."""
     cat = category(cat if isinstance(cat, str) else cat.id)
-    c = Fraction(c)
+    g = genus(cat, c)  # rejects c outside the category's class mod 8
     for c0, m0, h0 in seed_rows(cat):
-        diff = (c - c0) / 24
+        diff = (g.c - c0) / 24
         if diff.denominator == 1:
             m, h = iterate(m0, h0, int(diff))
-            if h != genus(cat, c).h_ext:
+            if h != g.h_ext:
                 raise RuntimeError(
-                    f"recurrence reached h = {h} at ({cat.id}, {c}), "
-                    f"but the genus has h_ext = {genus(cat, c).h_ext}"
+                    f"recurrence reached h = {h} at ({cat.id}, {g.c}), "
+                    f"but the genus has h_ext = {g.h_ext}"
                 )
             return m
-    raise ValueError(
-        f"c not in category's class mod 8: {cat.id} needs c = {cat.c_mod8} (mod 8), got {c}"
-    )
+    raise RuntimeError(f"no seed of {cat.id} lies in the class of c = {g.c} mod 24")
 
 
 def candidates(
@@ -86,14 +86,6 @@ def first_column_admissible(m: CharMatrix) -> bool:
     return all(v.denominator == 1 and v >= 0 for v in m.first_column())
 
 
-def character_admissible(
-    cat: CategoryInfo, c: Fraction, m: CharMatrix, order: int = 8
-) -> bool:
-    """Series filter: both character components integral and non-negative."""
-    vec = character_vector(expand(genus(cat, c), m, order))
-    return vec.is_nonneg_integral()
-
-
 class CandidateOutcome(NamedTuple):
     """Filter trace for one candidate genus.
 
@@ -112,29 +104,27 @@ class CandidateOutcome(NamedTuple):
     def accepted(self) -> bool:
         return self.constant_term_ok and bool(self.series_ok)
 
+    @property
+    def ell(self) -> int:
+        return genus(self.category, self.c).ell
 
-def survey(order: int = 8) -> list[CandidateOutcome]:
+    @property
+    def realization_note(self) -> str:
+        return _REALIZATIONS.get((self.category.id, self.c), "unknown")
+
+
+def survey() -> list[CandidateOutcome]:
     """Run both filters over every candidate of every category."""
     out: list[CandidateOutcome] = []
     for cat in CATALOG:
         for c, m, h in candidates(cat):
             constant_ok = first_column_admissible(m)
-            series_ok = (
-                character_admissible(cat, c, m, order) if constant_ok else None
-            )
+            series_ok = None
+            if constant_ok:
+                vec = character_vector(expand(genus(cat, c), m, SERIES_ORDER))
+                series_ok = vec.is_nonneg_integral()
             out.append(CandidateOutcome(cat, c, h, m, constant_ok, series_ok))
     return out
-
-
-class ClassificationRow(NamedTuple):
-    """One surviving genus with its exact data and a realization note."""
-
-    category: CategoryInfo
-    c: Fraction
-    h_ext: Fraction
-    ell: int
-    chi: CharMatrix
-    realization_note: str
 
 
 # The fifteen surviving genera: (category, c, h_ext, ell, realization).
@@ -159,27 +149,13 @@ GOLDEN_GENERA: tuple[tuple[str, Fraction, Fraction, int, str], ...] = (
 _REALIZATIONS = {(cid, c): note for cid, c, _h, _l, note in GOLDEN_GENERA}
 
 
-def classify_all(order: int = 8) -> list[ClassificationRow]:
-    """The surviving genera in catalog order, then ascending c."""
-    rows: list[ClassificationRow] = []
-    for o in survey(order):  # survey is already catalog-ordered, ascending c
-        if not o.accepted:
-            continue
-        g = genus(o.category, o.c)
-        rows.append(
-            ClassificationRow(
-                o.category,
-                o.c,
-                g.h_ext,
-                g.ell,
-                o.chi,
-                _REALIZATIONS.get((o.category.id, o.c), "unknown"),
-            )
-        )
-    return rows
+def classify_all() -> list[CandidateOutcome]:
+    """The accepted candidates: the surviving genera in catalog order, then
+    ascending c (the order ``survey`` already keeps)."""
+    return [o for o in survey() if o.accepted]
 
 
-def matches_golden(rows: list[ClassificationRow]) -> bool:
+def matches_golden(rows: list[CandidateOutcome]) -> bool:
     """Field-for-field comparison against the embedded golden table."""
     got = tuple((r.category.id, r.c, r.h_ext, r.ell) for r in rows)
     want = tuple((cid, c, h, ell) for cid, c, h, ell, _ in GOLDEN_GENERA)

@@ -81,7 +81,7 @@ def bounds_data(table: str, only: str | None = None) -> list[dict]:
     return _encode([row for row in rows if only in (None, row["category"])])
 
 
-def classify_data(rows: list[classify.ClassificationRow], only: str | None = None) -> list[dict]:
+def classify_data(rows: list[classify.CandidateOutcome], only: str | None = None) -> list[dict]:
     return _encode([
         {"category": r.category.id, "c": r.c, "h_ext": r.h_ext, "ell": r.ell,
          "chi": r.chi, "realization": r.realization_note}
@@ -345,12 +345,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
+def _emit(text: str, out: str | None, parser: argparse.ArgumentParser) -> None:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        fh = open(out, "w")
+    except OSError as exc:
+        # an --out that cannot be opened is a bad argument
+        parser.error(f"cannot write --out {out}: {exc.strerror}")
+    with fh:
+        fh.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -387,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
         data = chi_data(only, args.c)
     else:
         data, md, fixture = rm_data(), _render_rm_md, "rm_verify.json"
-    _emit(_render(data, args.format, md), args.out)
+    _emit(_render(data, args.format, md), args.out, args.subparser)
 
     # the full classification always self-verifies against the embedded table
     if args.command == "classify" and not classify.matches_golden(rows):

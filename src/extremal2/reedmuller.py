@@ -173,13 +173,14 @@ class LinearCode:
         return f"LinearCode(length={self.length}, dim={self.dim})"
 
 
+def _weights(words) -> dict[int, int]:
+    """How many of ``words`` have each weight, ascending in weight."""
+    return dict(sorted(Counter(w.bit_count() for w in words).items()))
+
+
 def weight_enumerator(code: LinearCode) -> dict[int, int]:
     """Exact weight distribution over the full span (dim <= 20)."""
-    counts: dict[int, int] = {}
-    for w in code.codewords():
-        wt = w.bit_count()
-        counts[wt] = counts.get(wt, 0) + 1
-    return dict(sorted(counts.items()))
+    return _weights(code.codewords())
 
 
 _ALPHA_ROWS = ("1111111111111111", "1111111100000000", "1111000011110000",
@@ -321,8 +322,7 @@ def lemma5_check(xi: int) -> Lemma5Report:
 
 
 def _coset_enumerator(xi: int) -> dict[int, int]:
-    counts = Counter([(xi ^ g).bit_count() for g in _rm16_words()])
-    return dict(sorted(counts.items()))
+    return _weights(xi ^ g for g in _rm16_words())
 
 
 class Lemma6Report(NamedTuple):

@@ -249,7 +249,7 @@ def test_criterion_09_holomorphic_extension_sum():
 
 def test_criterion_10a_integrality_sweep():
     ok = True
-    for row in classify_all(order=8):
+    for row in classify_all():
         vec = character_vector(expand(genus(row.category, row.c), row.chi, 8))
         ok = ok and vec.is_nonneg_integral()
     announce("10a", "all 15 surviving expansions integral through order 8", ok)

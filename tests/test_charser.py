@@ -224,7 +224,7 @@ def test_every_printed_character_coefficient():
 
 
 def test_surviving_characters_integral_through_order_eight():
-    for row in classify_all(order=8):
+    for row in classify_all():
         vec = character_vector(expand(genus(row.category, row.c), row.chi, 8))
         assert vec.is_nonneg_integral()
 

@@ -267,6 +267,8 @@ def test_charmatrix_coerces_entries_to_fractions():
     assert all(type(v) is Fraction for v in m)
     assert m.x == 3 and m.w == -247
     assert CharMatrix.from_rows(((3, 26752), (2, -247))) == m
+    assert all(type(v) is Fraction for v in CharMatrix._make([3, 26752, 2, "-247"]))
+    assert all(type(v) is Fraction for v in m._replace(x=5, y="1/2"))
 
 
 @given(rationals, rationals, rationals, rationals)

@@ -8,7 +8,7 @@ import pytest
 
 from extremal2.bounds import c_extremes
 from extremal2.charser import character_vector, expand
-from extremal2.chimat import CharMatrix
+from extremal2.chimat import CharMatrix, iterate
 from extremal2.classify import (
     GOLDEN_GENERA,
     candidates,
@@ -56,6 +56,25 @@ def test_candidates_stay_in_window_and_cover_all_classes():
         # consistency of the carried h with the window rule
         for c, _, h in rows:
             assert genus(cat, c).h_ext == h
+
+
+def test_no_matrix_outside_the_window_passes_the_constant_term_filter():
+    """Checks ``c_extremes`` by its consequence: 60 steps of 24 past both
+    ends of each class's window, 2880 matrices in all, none admissible."""
+    walked = 0
+    for cat in CATALOG:
+        c_min, c_max = c_extremes(cat)
+        rows = candidates(cat)
+        for residue in {(c - cat.c_mod8) % 24 for c, _, _ in rows}:
+            in_class = [row for row in rows if (row[0] - cat.c_mod8) % 24 == residue]
+            for (c, m, h), step in ((in_class[0], -1), (in_class[-1], 1)):
+                for _ in range(60):
+                    m, h = iterate(m, h, step)
+                    c += 24 * step
+                    assert not c_min <= c <= c_max
+                    assert not first_column_admissible(m), (cat.id, c)
+                    walked += 1
+    assert walked == 2880
 
 
 def test_first_column_admissible_examples():

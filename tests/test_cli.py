@@ -127,14 +127,16 @@ def test_character_check_without_fixture_row_is_mismatch():
     assert "no fixture row" in res.stderr
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path):
     # errors found after parsing come from the subcommand's parser, as argparse's own do
+    unwritable = str(tmp_path / "missing" / "x.json")
     for argv, message in [
         (("character", "--category", "semion", "--c", "2"), "class mod 8"),
         (("character", "--category", "nonsense", "--c", "1"), "unknown category"),
         (("character", "--category", "semion", "--c", "1", "--order", "0"), "--order"),
         (("chi", "--category", "semion", "--c", "-1.5"), "class mod 8"),
         (("bounds", "--table", "sideways"), "invalid choice"),
+        (("chi", "--category", "semion", "--c", "1", "--out", unwritable), unwritable),
     ]:
         res = run_cli(*argv)
         assert res.returncode == 2 and res.stdout == ""

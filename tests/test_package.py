@@ -3,10 +3,13 @@ CLI loads every layer but nothing that slows start-up."""
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -41,3 +44,12 @@ def test_cli_import_loads_every_traced_layer():
     a layer only inside the subcommand that needs it would break ``--trace 1``."""
     layers = {"exactq", "chimat", "bounds", "classify", "charser", "reedmuller"}
     assert {f"extremal2.{name}" for name in layers} <= loaded_modules("import extremal2.cli")
+
+
+@pytest.mark.parametrize(
+    "layer", ["exactq", "chimat", "bounds", "classify", "charser", "reedmuller", "genus"])
+def test_every_exported_name_exists(layer):
+    """``perfbench/traced_cli.py`` reads each name in a layer's ``__all__``
+    with ``getattr``, so a stale entry would crash every traced run."""
+    module = importlib.import_module(f"extremal2.{layer}")
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

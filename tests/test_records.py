@@ -9,7 +9,7 @@ import pytest
 
 from extremal2.charser import branching_diagnostic, character_vector, expand
 from extremal2.chimat import CharMatrix, alpha_beta
-from extremal2.classify import CandidateOutcome, ClassificationRow
+from extremal2.classify import CandidateOutcome
 from extremal2.genus import CATALOG, Surd, genus
 from extremal2.reedmuller import (
     Lemma6Report,
@@ -21,7 +21,7 @@ from extremal2.reedmuller import (
 
 
 def samples() -> dict[str, object]:
-    """One record of each of the 14 classes, mostly straight from the pipeline."""
+    """One record of each of the 13 classes, mostly straight from the pipeline."""
     cat = CATALOG[0]
     m = CharMatrix(3, 26752, 2, -247)
     g = genus(cat, 1)
@@ -36,7 +36,6 @@ def samples() -> dict[str, object]:
         "CharacterVector": character_vector(e),
         "BranchingDiagnostic": branching_diagnostic(),
         "CandidateOutcome": CandidateOutcome(cat, g.c, g.h_ext, m, True, True),
-        "ClassificationRow": ClassificationRow(cat, g.c, g.h_ext, g.ell, m, "A1 level 1"),
         "RMCodes": rm_codes(),
         "Lemma5Report": lemma5_check(construction_xi()),
         "Lemma6Report": Lemma6Report(448, True, True, {28: 64, 36: 64}),

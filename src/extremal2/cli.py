@@ -268,12 +268,14 @@ def _check_against(data, fixture_name: str, only: str | None = None) -> int:
 
 
 def _check_character(data: dict) -> int:
-    """Compare ``data`` with its characters.json row, which holds a prefix of each series."""
+    """Compare ``data`` with its characters.json row, which holds a prefix of
+    each series; a series compares on the terms both sides have."""
+    def cut(a: dict, b: dict) -> dict:
+        return {k: v[: len(b[k])] if k.startswith("series") else v for k, v in a.items()}
+
     for row in _load_fixture("characters.json")["rows"]:
         if (row["category"], row["c"]) == (data["category"], data["c"]):
-            prefix = {k: v[: len(row[k])] if k.startswith("series") else v
-                      for k, v in data.items()}
-            return _verdict(prefix == row, "characters.json")
+            return _verdict(cut(data, row) == cut(row, data), "characters.json")
     print("no fixture row for this genus", file=sys.stderr)
     return EXIT_MISMATCH
 
@@ -360,7 +362,9 @@ def _emit(text: str, out: str | None, parser: argparse.ArgumentParser) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # reported by the subcommand's parser, like every later usage error
+        args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     print(f"extremal2 {__version__}", file=sys.stderr)
     # chi entries grow by about 6 digits per 24-step in c, so output has no
     # digit limit (interpreters without the limit lack the function)

@@ -20,14 +20,16 @@ the block characterization
 
 On top of these sit the certification scans: the minimum weight 4 of
 RM(4,6), whose scan puts all 43744 words of weight at most 3 through the
-block characterization (``rm46_member``); the subcode/doubly-even
-conditions (i)-(iv) for words xi = (nu1, nu2, nu3, nu4), whose brute force
-tests every product xi * g, g in RM(1,6), by dual orthogonality (the
-definition of ``rm46_member_dual``, read from a bit-sliced table); the
-sweep over weight-6 words of RM(2,4) whose coset xi + RM(1,6) always has
-weight enumerator 64 x^28 + 64 x^36; and the explicit word of the
-construction whose minimum coset weight 28 certifies twisted-module top
-weight 28/16 = 7/4.
+block characterization (``rm46_member``), evaluated as the XOR of per-position
+20-bit syndromes (fold bit and block-parity bit) looked up in one accept set;
+the subcode/doubly-even conditions (i)-(iv) for words xi = (nu1, nu2, nu3,
+nu4), whose brute force tests every product xi * g, g in RM(1,6), by dual
+orthogonality (the definition of ``rm46_member_dual``, read from a
+bit-sliced table through 8 per-byte tables); the sweep over weight-6 words
+of RM(2,4) whose coset xi + RM(1,6) always has weight enumerator
+64 x^28 + 64 x^36; and the explicit word of the construction whose minimum
+coset weight 28 certifies twisted-module top weight 28/16 = 7/4.  Tables
+are built on first use, never at import.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ class LinearCode:
 
 def _weights(words) -> dict[int, int]:
     """How many of ``words`` have each weight, ascending in weight."""
-    return dict(sorted(Counter(w.bit_count() for w in words).items()))
+    return dict(sorted(Counter(map(int.bit_count, words)).items()))
 
 
 def weight_enumerator(code: LinearCode) -> dict[int, int]:
@@ -223,12 +225,33 @@ def _rm16_words() -> tuple[int, ...]:
     return tuple(rm_codes().rm16.codewords())
 
 
-@lru_cache(maxsize=1)
 def _dual_columns() -> tuple[int, ...]:
     """The distinct masks g & h (g in RM(1,6), h in its basis: 485 of 896
     pairs) bit-sliced: bit k of column i is bit i of the k-th mask."""
     masks = dict.fromkeys(g & h for g in _rm16_words() for h in rm_codes().rm16.basis)
-    return tuple(sum(1 << k for k, m in enumerate(masks) if m >> i & 1) for i in range(64))
+    rows = [format(m, "064b")[::-1] for m in masks]  # character i is bit i
+    return tuple(int("".join(column)[::-1], 2) for column in zip(*rows))
+
+
+@lru_cache(maxsize=1)
+def _dual_byte_tables() -> tuple[tuple[int, ...], ...]:
+    """Entry v of table j is the XOR of the columns under the bits v << 8j."""
+    columns = _dual_columns()
+    tables = []
+    for j in range(0, 64, 8):
+        table = [0]
+        for column in columns[j : j + 8]:
+            table += [t ^ column for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+@lru_cache(maxsize=1)
+def _syndromes() -> tuple[frozenset[int], tuple[int, ...]]:
+    """The block characterization as a table: a word is in RM(4,6) iff the
+    XOR of its positions' syndromes (fold bit | block-parity bit) is accepted."""
+    accept = frozenset(f | par << 16 for f in _rm24_bitset() for par in (0, 0xF))
+    return accept, tuple(1 << (15 - p % 16) | 1 << (16 + p // 16) for p in range(64))
 
 
 def rm46_member(bits: int) -> bool:
@@ -253,10 +276,14 @@ def min_weight_rm46() -> tuple[int, int]:
     produces a weight-4 member by planting a weight-4 RM(2,4) word in the
     first block.
     """
-    units = [1 << (63 - p) for p in range(64)]
-    for wt in (1, 2, 3):
-        for combo in itertools.combinations(units, wt):
-            if rm46_member(sum(combo)):
+    accept, units = _syndromes()
+    # a word of weight wt is a head of weight wt - 1 ending at position
+    # ``last`` plus one later position; heads and tails in combinations order
+    singles = list(enumerate(units))
+    pairs = [(j, a ^ b) for (_, a), (j, b) in itertools.combinations(singles, 2)]
+    for wt, heads in ((1, [(-1, 0)]), (2, singles), (3, pairs)):
+        for last, head in heads:
+            if not accept.isdisjoint(map(head.__xor__, units[last + 1 :])):
                 raise RuntimeError(f"unexpected weight-{wt} word in RM(4,6)")
     planted = [w for w in rm_codes().rm24.codewords() if w.bit_count() == 4]
     if not planted:
@@ -313,16 +340,16 @@ def lemma5_check(xi: int) -> Lemma5Report:
     # the basis, has even weight.  Bit k of the XOR of the columns under the
     # bits of xi is the parity of xi & (k-th mask g & h).
     parities = 0
-    for i, column in enumerate(_dual_columns()):
-        if xi >> i & 1:
-            parities ^= column
+    for j, table in enumerate(_dual_byte_tables()):
+        parities ^= table[xi >> 8 * j & 0xFF]
     subcode_ok = parities == 0
-    doubly_even_ok = subcode_ok and not any((xi & g).bit_count() & 3 for g in _rm16_words())
+    doubly_even_ok = subcode_ok and not any(
+        map((3).__and__, map(int.bit_count, map(xi.__and__, _rm16_words()))))
     return Lemma5Report(cond_i, cond_ii, cond_iii, cond_iv, subcode_ok, doubly_even_ok)
 
 
 def _coset_enumerator(xi: int) -> dict[int, int]:
-    return _weights(xi ^ g for g in _rm16_words())
+    return _weights(map(xi.__xor__, _rm16_words()))
 
 
 class Lemma6Report(NamedTuple):

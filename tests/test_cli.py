@@ -11,6 +11,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremal2 import classify, cli
 from extremal2.chimat import CharMatrix, alpha_beta, g_closed, k_closed, seed_rows
@@ -125,6 +127,22 @@ def test_character_check_without_fixture_row_is_mismatch():
     )
     assert res.returncode == 1
     assert "no fixture row" in res.stderr
+
+
+def test_character_check_compares_the_terms_both_sides_have(monkeypatch):
+    # order 1 gives 3 vacuum and 2 module terms; the fixture row holds 3 of each
+    argv = ("character", "--category", "semion", "--c", "1", "--order", "1", "--check")
+    rc, out = run_main(*argv)
+    assert rc == 0 and json.loads(out)["series1"] == ["2", "2"]
+    real = cli._load_fixture
+
+    def tampered(name):
+        data = real(name)
+        data["rows"][0]["series1"][1] = "3"  # semion c = 1 is the first row
+        return data
+
+    monkeypatch.setattr(cli, "_load_fixture", tampered)
+    assert run_main(*argv)[0] == 1
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -277,3 +295,67 @@ def test_chi_has_no_check_option(capsys):
         cli.main(["chi", "--category", "semion", "--c", "1", "--check"])
     assert exc.value.code == 2
     assert "--check" in capsys.readouterr().err
+
+
+_SUBCOMMANDS = ("catalog", "bounds", "classify", "character", "chi", "rm")
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv over the CLI grammar, valid or not, that stays cheap to run:
+    c within a few steps of 8 of each window, small --order."""
+    sub = draw(st.sampled_from(_SUBCOMMANDS + ("frobnicate",)))
+    cat = draw(st.sampled_from(CATALOG))
+    cat_id = draw(st.sampled_from([cat.id, cat.id, cat.id, "nonsense", ""]))
+    argv = [sub]
+    if sub == "bounds":
+        argv += draw(st.sampled_from([[], [cat_id]]))
+        argv += ["--table", draw(st.sampled_from(["summary", "nmax-positive", "nmax-negative",
+                                                  "sideways"]))]
+    elif sub == "classify" and draw(st.booleans()):
+        argv += ["--category", cat_id]
+    elif sub in ("character", "chi"):
+        in_class = st.integers(-5, 11).map(lambda k: str(cat.c_mod8 + 8 * k))
+        c = draw(st.one_of(
+            in_class, in_class, st.integers(-40, 90).map(str),
+            st.sampled_from(["-22/5", "2.5", "-1.5", "1/0", "inf", "nan", "x", "", "1e1"])))
+        argv += ["--category", cat_id, f"--c={c}"]
+        if sub == "character" and draw(st.booleans()):
+            argv += ["--order", str(draw(st.integers(-1, 4)))]
+    elif sub == "rm":
+        argv += [draw(st.sampled_from(["verify", "verify", "prove"]))]
+    argv += ["--format", draw(st.sampled_from(["json", "json", "json", "md", "csv", "xml"]))]
+    if draw(st.booleans()):
+        argv += ["--check"]
+    return argv
+
+
+def _call(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``cli.main``, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=cli_argv())
+def test_cli_contract_holds_for_drawn_argv(argv, tmp_path_factory):
+    rc, out, err = _call(argv)
+    assert rc in (0, 1, 2), (argv, err)
+    if rc == 2:
+        sub = argv[0] if argv[0] in _SUBCOMMANDS else None
+        prefix = f"extremal2 {sub}: error: " if sub else "extremal2: error: "
+        errors = [line for line in err.splitlines() if ": error: " in line]
+        assert out == "" and len(errors) == 1 and errors[0].startswith(prefix), (argv, err)
+    elif argv[argv.index("--format") + 1] == "json":
+        json.loads(out)
+    target = tmp_path_factory.mktemp("out") / "result"
+    rc_out, out_out, _ = _call(argv + ["--out", str(target)])
+    assert rc_out == rc
+    if rc != 2:
+        assert out_out == ""
+        assert target.read_text() == out

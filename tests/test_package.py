@@ -4,6 +4,7 @@ CLI loads every layer but nothing that slows start-up."""
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -14,16 +15,20 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def loaded_modules(statement: str) -> set[str]:
-    """Names in ``sys.modules`` after ``statement`` runs in a fresh interpreter."""
-    code = f"{statement}\nimport sys; print(' '.join(sys.modules))"
+def run_fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports from ``src``."""
     path_var = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path_var if path_var else SRC)
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    return set(result.stdout.split())
+    return result.stdout
+
+
+def loaded_modules(statement: str) -> set[str]:
+    """Names in ``sys.modules`` after ``statement`` runs in a fresh interpreter."""
+    return set(run_fresh(f"{statement}\nimport sys; print(' '.join(sys.modules))").split())
 
 
 def test_importing_one_layer_loads_no_other():
@@ -44,6 +49,18 @@ def test_cli_import_loads_every_traced_layer():
     a layer only inside the subcommand that needs it would break ``--trace 1``."""
     layers = {"exactq", "chimat", "bounds", "classify", "charser", "reedmuller"}
     assert {f"extremal2.{name}" for name in layers} <= loaded_modules("import extremal2.cli")
+
+
+def test_cli_import_builds_no_reedmuller_table():
+    """Every CLI request imports reedmuller, so a table built at import would
+    land in the start-up of requests that never use it."""
+    out = run_fresh(
+        "import json, extremal2.cli, extremal2.reedmuller as rm\n"
+        "print(json.dumps({name: f.cache_info().currsize for name, f in vars(rm).items()"
+        " if hasattr(f, 'cache_info')}))")
+    sizes = json.loads(out)
+    assert {"rm_codes", "_syndromes", "_dual_byte_tables"} <= set(sizes)
+    assert set(sizes.values()) == {0}
 
 
 @pytest.mark.parametrize(

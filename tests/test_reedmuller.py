@@ -172,21 +172,41 @@ def test_min_weight_four_with_witness():
 
 
 def test_min_weight_raises_on_a_broken_membership_test(monkeypatch):
-    monkeypatch.setattr(reedmuller, "rm46_member", lambda bits: True)
+    accept, units = reedmuller._syndromes()
+    # accepts every syndrome a weight-1 word can have, so the first word raises
+    monkeypatch.setattr(reedmuller, "_syndromes", lambda: (frozenset(units), units))
     with pytest.raises(RuntimeError, match="unexpected weight-1"):
         min_weight_rm46()
 
 
 def test_min_weight_scan_reaches_the_last_weight3_word(monkeypatch):
-    # positions 61, 62, 63: the last of the 43744 words in scan order
-    monkeypatch.setattr(reedmuller, "rm46_member", lambda bits: bits == 0b111)
+    # the syndrome of positions 61, 62, 63, the last of the 43744 words in
+    # scan order; no word of weight 1 or 2 has it
+    accept, units = reedmuller._syndromes()
+    last = frozenset({units[61] ^ units[62] ^ units[63]})
+    monkeypatch.setattr(reedmuller, "_syndromes", lambda: (last, units))
     with pytest.raises(RuntimeError, match="unexpected weight-3"):
         min_weight_rm46()
 
 
+@pytest.mark.parametrize("positions", [
+    (0,), (63,), (0, 1), (5, 40), (62, 63), (0, 1, 2), (7, 23, 56), (61, 62, 63)])
+def test_min_weight_scan_tests_each_word_at_its_weight(positions, monkeypatch):
+    """With one bit per position as the syndrome, a syndrome is the word
+    itself, so accepting one word raises exactly when the scan reaches it
+    (real syndromes are shared: positions 13, 14, 63 have the one of 61,
+    62, 63)."""
+    units = tuple(1 << (63 - p) for p in range(64))
+    target = frozenset({sum(units[p] for p in positions)})
+    monkeypatch.setattr(reedmuller, "_syndromes", lambda: (target, units))
+    with pytest.raises(RuntimeError, match=f"unexpected weight-{len(positions)}"):
+        min_weight_rm46()
+
+
 def test_weight_census_matches_macwilliams_transform():
-    """Count RM(4,6) words of weight <= 4 and compare with the transform
-    of RM(1,6)'s enumerator (an independent binomial computation)."""
+    """Count RM(4,6) words of weight <= 4, by ``rm46_member`` and by the
+    min-weight scan's syndrome table, and compare with the transform of
+    RM(1,6)'s enumerator (an independent binomial computation)."""
 
     def krawtchouk(w: int) -> int:
         # coefficient of y^w in (x^2 - y^2)^32, i.e. at mid-weight 32
@@ -200,15 +220,20 @@ def test_weight_census_matches_macwilliams_transform():
             128,
         )
 
+    # the min-weight scan's syndrome table must agree with rm46_member on
+    # every word; bit p of a word is the scan's position 63 - p
+    accept, units = reedmuller._syndromes()
     census = {w: 0 for w in range(5)}
     census[0] = 1
     for wt in (1, 2, 3, 4):
         for positions in itertools.combinations(range(64), wt):
-            bits = 0
+            bits = syndrome = 0
             for p in positions:
                 bits |= 1 << p
-            if rm46_member(bits):
-                census[wt] += 1
+                syndrome ^= units[63 - p]
+            member = rm46_member(bits)
+            assert (syndrome in accept) == member, positions
+            census[wt] += member
     assert census == {0: 1, 1: 0, 2: 0, 3: 0, 4: 10416}
     for w in range(5):
         assert census[w] == transform(w)
@@ -299,7 +324,7 @@ def test_lemma5_and_cosets_match_the_product_by_product_oracle():
 def test_lemma6_reports_the_first_differing_coset_enumerator(monkeypatch):
     words = reedmuller._rm16_words()
     dropped = words[2]  # weight 32: each coset loses a word of weight 28 or 36
-    reedmuller._dual_columns()  # cached from the whole code, before the patch
+    reedmuller._dual_byte_tables()  # cached from the whole code, before the patch
     monkeypatch.setattr(reedmuller, "_rm16_words", lambda: words[:2] + words[3:])
     alphas = [a for a in rm_codes().rm24.codewords() if a.bit_count() == 6]
     lost = [(_join(a, a, a, a ^ 0xFFFF) ^ dropped).bit_count() for a in alphas]
@@ -308,6 +333,22 @@ def test_lemma6_reports_the_first_differing_coset_enumerator(monkeypatch):
     assert report.weight6_count == 448
     assert not report.all_cosets_match
     assert report.coset_enumerator == {28: 63, 36: 64}
+
+
+def test_dual_byte_tables_match_the_bit_sliced_columns():
+    """Rebuild the columns one mask bit at a time and check every entry."""
+    rm16 = rm_codes().rm16
+    masks = dict.fromkeys(g & h for g in rm16.codewords() for h in rm16.basis)
+    columns = [sum(1 << k for k, m in enumerate(masks) if m >> i & 1) for i in range(64)]
+    tables = reedmuller._dual_byte_tables()
+    assert [len(t) for t in tables] == [256] * 8
+    for j, table in enumerate(tables):
+        for v, entry in enumerate(table):
+            expected = 0
+            for b in range(8):
+                if v >> b & 1:
+                    expected ^= columns[8 * j + b]
+            assert entry == expected, (j, v)
 
 
 def test_self_orthogonality_of_passing_products():

@@ -16,7 +16,7 @@ from extremal2.charser import (
     coset_extension_sum_check,
     expand,
 )
-from extremal2.classify import chi_of
+from extremal2.chimat import chi_of
 from extremal2.genus import category, genus
 
 

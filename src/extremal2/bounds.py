@@ -117,10 +117,7 @@ def nmax_negative(m: CharMatrix, h: Fraction) -> int:
         raise ValueError("lemma requires beta > 1")
     if not abs(m.z) <= 1:
         raise ValueError("lemma requires |chi10| <= 1")
-    threshold = negative_threshold(m, h)
-    n = math.floor(threshold)
-    n_max = n if n + 1 > threshold else n + 1
-    return max(0, n_max)
+    return max(0, math.floor(negative_threshold(m, h)))
 
 
 def negative_base_point(

@@ -4,7 +4,7 @@ The fundamental matrix Xi of a genus satisfies a first-order differential
 equation in q whose coefficient matrix is assembled from two scalar
 series: the q^n coefficients a_n of (J - 240)/E and b_n of 1/E, with
 E = q^-1 - 240 - 141444q - ... .  Writing q^-Lambda Xi = sum X[n] q^n with
-X[-1] = I and X[0] = chi, the equation becomes a triangular recursion
+X[-1] = I, the equation becomes a triangular recursion for n >= 0
 
     X[n]_ij = ( S_a,ij (lambda_j - 1) + sum_k S_b,ik B_kj ) / (lambda_i - lambda_j + n + 1),
 
@@ -12,9 +12,10 @@ X[-1] = I and X[0] = chi, the equation becomes a triangular recursion
 
 with B = chi + [Lambda, chi], i.e. B_ij = chi_ij (1 + lambda_i - lambda_j).
 The denominators lie in {n+1, n+2-h, h+n} and never vanish because the
-extremal weight h is never an integer.  The n = 0 instance must reproduce
-chi itself, which pins the normalization (a_0 = 1, a_1 = 0, b_1 = 1);
-every expansion checks it and raises ``ValueError`` when it fails.
+extremal weight h is never an integer.  Its n = 0 step gives
+X[0]_ij = (a_1 (Lambda - I)_ij + b_1 B_ij) / (lambda_i - lambda_j + 1), which
+is chi itself exactly when a_1 = 0 and b_1 = 1; every expansion checks that
+X[0] = chi and raises ``ValueError`` when it fails.
 
 The module also carries the coset/extension character data for the c = 33
 construction and the series-sum checks over them.  A character component
@@ -27,9 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chimat import CharMatrix
-from .exactq import ode_series
-from .genus import Genus
+from .chimat import CharMatrix, chi_of
+from .exactq import _mul, ode_series
+from .genus import Genus, category, genus
 
 __all__ = [
     "Mat2",
@@ -52,10 +53,6 @@ _ZERO = Fraction(0)
 _IDENTITY: Mat2 = ((Fraction(1), _ZERO), (_ZERO, Fraction(1)))
 
 
-def _chi_mat(m: CharMatrix) -> Mat2:
-    return ((m.x, m.y), (m.z, m.w))
-
-
 def _weighted_sum(weights: list[int], mats: list[Mat2]) -> list[list[Fraction]]:
     """Entry by entry, sum_k weights[k] mats[k]."""
     return [
@@ -72,7 +69,6 @@ class FundamentalExpansion(NamedTuple):
     """
 
     genus: Genus
-    chi: CharMatrix
     coeffs: tuple[Mat2, ...]
 
     @property
@@ -86,31 +82,23 @@ class FundamentalExpansion(NamedTuple):
         return self.coeffs[n + 1]
 
 
-def expand(g: Genus, m: CharMatrix, order: int = 8) -> FundamentalExpansion:
-    """Solve the coefficient recursion through X[order].
+def expand(g: Genus, m: CharMatrix, order: int) -> FundamentalExpansion:
+    """Solve the coefficient recursion from X[-1] = I through X[order].
 
     Raises if a recursion denominator vanishes (impossible for catalog
-    genera, whose extremal weight is never an integer) or if the order-0
-    instance of the relation fails to reproduce chi.
+    genera, whose extremal weight is never an integer) or if the n = 0
+    step fails to reproduce chi.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     a, b = ode_series(order + 2)
     lam = (g.lambda0, g.lambda1)
-    chi = _chi_mat(m)
+    chi = ((m.x, m.y), (m.z, m.w))
     # B = chi + Lambda chi - chi Lambda has (i, j) entry chi_ij (1 + lam_i - lam_j).
     bm = [[chi[i][j] * (1 + lam[i] - lam[j]) for j in range(2)] for i in range(2)]
 
-    # Order-0 self-consistency: (lam_i - lam_j + 1) chi_ij = a_1 (Lambda - I)_ij + b_1 B_ij.
-    for i in range(2):
-        for j in range(2):
-            diag = lam[i] - 1 if i == j else 0
-            rhs = a[1] * diag + b[1] * bm[i][j]
-            if (lam[i] - lam[j] + 1) * chi[i][j] != rhs:
-                raise ValueError("chi inconsistent with ODE at order 0")
-
-    coeffs: list[Mat2] = [_IDENTITY, chi]
-    for n in range(1, order + 1):
+    coeffs: list[Mat2] = [_IDENTITY]
+    for n in range(order + 1):
         # coeffs[k] is X[k - 1], weighted by a_(n + 1 - k) and b_(n + 1 - k)
         sa = _weighted_sum(a[n + 1 : 0 : -1], coeffs)
         sb = _weighted_sum(b[n + 1 : 0 : -1], coeffs)
@@ -127,7 +115,9 @@ def expand(g: Genus, m: CharMatrix, order: int = 8) -> FundamentalExpansion:
                 row.append(num / den)
             entries.append(tuple(row))
         coeffs.append(tuple(entries))  # type: ignore[arg-type]
-    return FundamentalExpansion(g, m, tuple(coeffs))
+    if coeffs[1] != chi:
+        raise ValueError("chi inconsistent with ODE at order 0")
+    return FundamentalExpansion(g, tuple(coeffs))
 
 
 class CharacterVector(NamedTuple):
@@ -191,13 +181,9 @@ def _series_product(a: Component, b: Component) -> Component:
     A factor's unknown tail is shifted by the other factor's lead, the index
     of its first non-zero coefficient.
     """
-    x, y = a[1], b[1]
-    out = [0] * min(len(x) + _lead(y), len(y) + _lead(x))
-    for i, u in enumerate(x[: len(out)]):
-        if u:
-            for j, v in enumerate(y[: len(out) - i]):
-                out[i + j] += u * v
-    return a[0] + b[0], tuple(out)
+    lead_a, lead_b = _lead(a[1]), _lead(b[1])
+    out = _mul(a[1][lead_a:], b[1][lead_b:])
+    return a[0] + b[0], (0,) * (lead_a + lead_b) + tuple(out)
 
 
 def _mismatches(a: Component, b: Component) -> list[tuple[int, Fraction, Fraction]]:
@@ -261,9 +247,6 @@ class BranchingDiagnostic(NamedTuple):
 
 def branching_diagnostic() -> BranchingDiagnostic:
     """Evaluate the naive branching product against the c = 33 character."""
-    from .classify import chi_of  # deferred: classify depends on this module
-    from .genus import category, genus
-
     semion = category("semion")
     a1 = character_vector(expand(genus(semion, 1), chi_of(semion, 1), order=6))
     target = character_vector(expand(genus(semion, 33), chi_of(semion, 33), order=6))

@@ -10,7 +10,8 @@ positive c), and ``k_step``/``k_closed`` evolve the reduced pair
 
 ``seed`` hands out exact characteristic matrices for one representative of
 each of the three admissible classes of c mod 24 per category; all other
-matrices in the pipeline are reached from these 24 by iteration.
+matrices in the pipeline are reached from these 24 by iteration, and
+``chi_of`` walks from the class seed to any admissible c.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
-from .genus import CategoryInfo, category
+from .genus import CategoryInfo, category, genus
 
 __all__ = [
     "CharMatrix",
@@ -34,6 +35,7 @@ __all__ = [
     "k_closed",
     "seed",
     "seed_rows",
+    "chi_of",
 ]
 
 
@@ -260,3 +262,20 @@ def seed(cat: CategoryInfo | str, class_index: int) -> tuple[Fraction, CharMatri
 def seed_rows(cat: CategoryInfo | str) -> tuple[tuple[Fraction, CharMatrix, Fraction], ...]:
     """All three seeds of a category in class order."""
     return tuple(seed(cat, i) for i in range(3))
+
+
+def chi_of(cat: CategoryInfo | str, c: Fraction | int) -> CharMatrix:
+    """Characteristic matrix at any admissible c, reached from its class seed."""
+    cat = category(cat if isinstance(cat, str) else cat.id)
+    g = genus(cat, c)  # rejects c outside the category's class mod 8
+    for c0, m0, h0 in seed_rows(cat):
+        diff = (g.c - c0) / 24
+        if diff.denominator == 1:
+            m, h = iterate(m0, h0, int(diff))
+            if h != g.h_ext:
+                raise RuntimeError(
+                    f"recurrence reached h = {h} at ({cat.id}, {g.c}), "
+                    f"but the genus has h_ext = {g.h_ext}"
+                )
+            return m
+    raise RuntimeError(f"no seed of {cat.id} lies in the class of c = {g.c} mod 24")

@@ -2,7 +2,8 @@
 
 For each category the admissible charges inside [c_min, c_max] form three
 arithmetic progressions of step 24; every candidate gets its exact
-characteristic matrix by iterating the recurrence from the class seed.
+characteristic matrix by iterating the recurrence from the class seed
+(``chimat.chi_of`` does the same walk for one c).
 A candidate survives when its would-be character is a plausible pair of
 graded dimensions:
 
@@ -30,7 +31,6 @@ from .genus import CATALOG, CategoryInfo, category, genus
 __all__ = [
     "SERIES_ORDER",
     "CandidateOutcome",
-    "chi_of",
     "candidates",
     "first_column_admissible",
     "survey",
@@ -41,23 +41,6 @@ __all__ = [
 
 # the series filter checks both character components through this order
 SERIES_ORDER = 8
-
-
-def chi_of(cat: CategoryInfo | str, c: Fraction | int) -> CharMatrix:
-    """Characteristic matrix at any admissible c, reached from its class seed."""
-    cat = category(cat if isinstance(cat, str) else cat.id)
-    g = genus(cat, c)  # rejects c outside the category's class mod 8
-    for c0, m0, h0 in seed_rows(cat):
-        diff = (g.c - c0) / 24
-        if diff.denominator == 1:
-            m, h = iterate(m0, h0, int(diff))
-            if h != g.h_ext:
-                raise RuntimeError(
-                    f"recurrence reached h = {h} at ({cat.id}, {g.c}), "
-                    f"but the genus has h_ext = {g.h_ext}"
-                )
-            return m
-    raise RuntimeError(f"no seed of {cat.id} lies in the class of c = {g.c} mod 24")
 
 
 def candidates(

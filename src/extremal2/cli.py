@@ -19,8 +19,7 @@ from importlib import resources
 
 from . import __version__, bounds, classify
 from .charser import character_vector, expand
-from .chimat import CharMatrix
-from .classify import chi_of
+from .chimat import CharMatrix, chi_of
 from .genus import CATALOG, category, genus
 from .reedmuller import (
     lemma6_scan,

@@ -198,7 +198,11 @@ def _max_dev_from_identity(m) -> float:
     return dev
 
 
-def modular_rep_check(cat: CategoryInfo, c: Fraction | int, tol: float = 1e-12) -> bool:
+# largest entry-wise deviation from I that modular_rep_check accepts
+_REP_TOL = 1e-12
+
+
+def modular_rep_check(cat: CategoryInfo, c: Fraction | int) -> bool:
     """Float check that S^2 = I and (S T)^3 = I for the genus (cat, c).
 
     T is e^(-2 pi i c/24) * diag(1, e^(2 pi i h_ext)); this is the only
@@ -212,4 +216,4 @@ def modular_rep_check(cat: CategoryInfo, c: Fraction | int, tol: float = 1e-12) 
     st = _mat_mul(s, t)
     st3 = _mat_mul(_mat_mul(st, st), st)
     s2 = _mat_mul(s, s)
-    return _max_dev_from_identity(s2) <= tol and _max_dev_from_identity(st3) <= tol
+    return _max_dev_from_identity(s2) <= _REP_TOL and _max_dev_from_identity(st3) <= _REP_TOL

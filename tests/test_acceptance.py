@@ -97,7 +97,7 @@ def test_criterion_02_golden_characters():
 
 
 def _chi(cat, c):
-    from extremal2.classify import chi_of
+    from extremal2.chimat import chi_of
 
     return chi_of(cat, c)
 

@@ -19,8 +19,8 @@ from extremal2.charser import (
     expand,
     holomorphic_sum_check,
 )
-from extremal2.chimat import CharMatrix, f_plus, seed_rows
-from extremal2.classify import candidates, chi_of, classify_all
+from extremal2.chimat import CharMatrix, chi_of, f_plus, seed_rows
+from extremal2.classify import candidates, classify_all
 from extremal2.exactq import ode_series
 from extremal2.genus import CATALOG, category, genus
 
@@ -124,15 +124,22 @@ def test_expansion_normalization():
             assert e.matrix(0) == ((m.x, m.y), (m.z, m.w))
 
 
-def test_expansion_rejects_inconsistent_normalization(monkeypatch):
-    # a broken scalar series must trip the order-0 self-consistency guard
+@pytest.mark.parametrize(
+    "skew",
+    [
+        lambda a, b: ([a[0], a[1] + 1, *a[2:]], b),  # shifts a_1 away from zero
+        lambda a, b: (a, [b[0], b[1] + 1, *b[2:]]),  # shifts b_1 away from one
+    ],
+    ids=["a1", "b1"],
+)
+def test_expansion_rejects_inconsistent_normalization(monkeypatch, skew):
+    # a broken scalar series must make the n = 0 step miss chi
     import extremal2.charser as charser
 
     real = charser.ode_series
 
     def skewed(n):
-        a, b = real(n)
-        return [a[0], a[1] + 1, *a[2:]], b  # shifts a_1 away from zero
+        return skew(*real(n))
 
     monkeypatch.setattr(charser, "ode_series", skewed)
     with pytest.raises(ValueError, match="inconsistent"):

@@ -8,11 +8,10 @@ import pytest
 
 from extremal2.bounds import c_extremes
 from extremal2.charser import character_vector, expand
-from extremal2.chimat import CharMatrix, iterate
+from extremal2.chimat import CharMatrix, chi_of, iterate
 from extremal2.classify import (
     GOLDEN_GENERA,
     candidates,
-    chi_of,
     classify_all,
     first_column_admissible,
     matches_golden,
@@ -33,9 +32,9 @@ def test_chi_of_matches_seeds_and_iterates():
 
 def test_chi_of_rejects_a_walk_that_misses_h_ext(monkeypatch):
     # a raised error, not an assert, so the check survives python -O
-    import extremal2.classify as classify_mod
+    import extremal2.chimat as chimat_mod
 
-    monkeypatch.setattr(classify_mod, "iterate", lambda m, h, n: (m, h + 1))
+    monkeypatch.setattr(chimat_mod, "iterate", lambda m, h, n: (m, h + 1))
     with pytest.raises(RuntimeError, match="h_ext"):
         chi_of("semion", 25)
 

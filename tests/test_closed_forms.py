@@ -1,0 +1,107 @@
+"""Closed forms for four of the fifteen characters, built from integer
+q-series helpers of their own.
+
+The helpers import nothing from ``extremal2``, so the oracle does not lean
+on ``exactq``, whose ``ode_series`` feeds the recursion under test.  The
+realizations come from ``classify.GOLDEN_GENERA``:
+
+* (semion, 1) is A1 at level 1: theta_3(2 tau)/eta and theta_2(2 tau)/eta;
+* (yang-lee, -22/5) is the M(2, 5) minimal model: the Rogers-Ramanujan
+  products;
+* (semion, 9) and (yang-lee, 18/5) tensor these with E8 at level 1, whose
+  character is E4/eta^8.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from extremal2.charser import character_vector, expand
+from extremal2.chimat import chi_of
+from extremal2.genus import category, genus
+
+F = Fraction
+ORDER = 120
+TERMS = ORDER + 2  # series0 runs from X[-1] to X[ORDER]
+
+
+def inverse_product(parts, n_terms: int, power: int = 1) -> list[int]:
+    """prod_{k in parts} (1 - q^k)^(-power): a partition sieve, one pass per factor."""
+    out = [1] + [0] * (n_terms - 1)
+    for k in parts:
+        for _ in range(power):
+            for i in range(k, n_terms):
+                out[i] += out[i - k]
+    return out
+
+
+def theta_sum(exponent, n_terms: int) -> list[int]:
+    """sum over all integers n of q^exponent(n), for an exponent growing like n^2."""
+    out = [0] * n_terms
+    bound = int(n_terms ** 0.5) + 2
+    for e in map(exponent, range(-bound, bound + 1)):
+        if 0 <= e < n_terms:
+            out[e] += 1
+    return out
+
+
+def e4(n_terms: int) -> list[int]:
+    """E4 = 1 + 240 sum_n sigma_3(n) q^n, the divisor sums summed directly."""
+    return [1] + [
+        240 * sum(d ** 3 for d in range(1, n + 1) if n % d == 0) for n in range(1, n_terms)
+    ]
+
+
+def times(a: list[int], b: list[int]) -> list[int]:
+    """Product of two power series, to the shorter length."""
+    n = min(len(a), len(b))
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(n)]
+
+
+def times_e8(series: list[int]) -> list[int]:
+    """``series`` times q^(1/3) E4/eta^8 = E4 / prod (1 - q^n)^8."""
+    n = len(series)
+    return times(series, times(e4(n), inverse_product(range(1, n), n, power=8)))
+
+
+def a1_level1() -> tuple[list[int], list[int]]:
+    partitions = inverse_product(range(1, TERMS), TERMS)
+    return (
+        times(theta_sum(lambda n: n * n, TERMS), partitions),
+        times(theta_sum(lambda n: n * n + n, TERMS), partitions),
+    )
+
+
+def lee_yang() -> tuple[list[int], list[int]]:
+    return (
+        inverse_product([k for k in range(1, TERMS) if k % 5 in (2, 3)], TERMS),
+        inverse_product([k for k in range(1, TERMS) if k % 5 in (1, 4)], TERMS),
+    )
+
+
+CLOSED_FORMS = {
+    ("semion", F(1)): (F(-1, 24), F(5, 24), a1_level1),
+    ("semion", F(9)): (F(-3, 8), F(-1, 8), lambda: tuple(map(times_e8, a1_level1()))),
+    ("yang-lee", F(-22, 5)): (F(11, 60), F(-1, 60), lee_yang),
+    ("yang-lee", F(18, 5)): (F(-3, 20), F(-7, 20), lambda: tuple(map(times_e8, lee_yang()))),
+}
+
+
+def test_helpers_reproduce_known_coefficients():
+    assert inverse_product(range(1, 10), 10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
+    assert e4(4) == [1, 240, 2160, 6720]
+    assert times_e8([1, 0, 0, 0]) == [1, 248, 4124, 34752]  # the E8 level-1 character
+    assert theta_sum(lambda n: n * n, 10) == [1, 2, 0, 0, 2, 0, 0, 0, 0, 2]
+
+
+@pytest.mark.parametrize("cat_id, c", sorted(CLOSED_FORMS), ids=str)
+def test_character_matches_its_closed_form_through_order_120(cat_id, c):
+    exponent0, exponent1, closed_form = CLOSED_FORMS[cat_id, c]
+    cat = category(cat_id)
+    vec = character_vector(expand(genus(cat, c), chi_of(cat, c), ORDER))
+    series0, series1 = closed_form()
+    assert (vec.exponent0, vec.exponent1) == (exponent0, exponent1)
+    assert vec.series0 == tuple(series0)
+    assert vec.series1 == tuple(series1[: ORDER + 1])

@@ -1,5 +1,5 @@
-"""What a fresh interpreter loads: the package root loads no layer, and the
-CLI loads every layer but nothing that slows start-up."""
+"""What a fresh interpreter loads: a layer loads only the layers below it, and
+the CLI loads every layer but nothing that slows start-up."""
 
 from __future__ import annotations
 
@@ -31,10 +31,34 @@ def loaded_modules(statement: str) -> set[str]:
     return set(run_fresh(f"{statement}\nimport sys; print(' '.join(sys.modules))").split())
 
 
-def test_importing_one_layer_loads_no_other():
-    loaded = loaded_modules("import extremal2.reedmuller")
-    assert {m for m in loaded if m.split(".")[0] == "extremal2"} == {
-        "extremal2", "extremal2.reedmuller"}
+# each layer with the layers below it, the only ones importing it may load
+LAYERS_BELOW = {
+    "exactq": set(),
+    "genus": set(),
+    "reedmuller": set(),
+    "chimat": {"genus"},
+    "bounds": {"genus", "chimat"},
+    "charser": {"exactq", "genus", "chimat"},
+    "classify": {"exactq", "genus", "chimat", "bounds", "charser"},
+    "cli": {"exactq", "genus", "chimat", "bounds", "charser", "classify", "reedmuller"},
+}
+
+
+def package_modules(statement: str) -> set[str]:
+    """The extremal2 modules, the package root aside, loaded after ``statement``."""
+    return {m for m in loaded_modules(statement) if m.startswith("extremal2.")}
+
+
+@pytest.mark.parametrize("layer", sorted(LAYERS_BELOW))
+def test_importing_a_layer_loads_only_the_layers_below(layer):
+    assert package_modules(f"import extremal2.{layer}") == {
+        f"extremal2.{name}" for name in LAYERS_BELOW[layer] | {layer}}
+
+
+def test_branching_diagnostic_loads_no_classify():
+    loaded = package_modules(
+        "from extremal2.charser import branching_diagnostic\nbranching_diagnostic()")
+    assert "extremal2.classify" not in loaded
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

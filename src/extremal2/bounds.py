@@ -42,6 +42,9 @@ __all__ = [
 
 
 def _quadratic_data(m: CharMatrix, h: Fraction) -> tuple[Fraction, Fraction]:
+    """|M| and |(h - 1) chi_00|, the linear and constant coefficients of Qt."""
+    if h <= 0:
+        raise ValueError("lemma requires h_ext > 0")
     big_m = m.x + m.w - 240 * (h - 1)
     return abs(big_m), abs((h - 1) * m.x)
 
@@ -53,20 +56,15 @@ def nmax_positive(m: CharMatrix, h: Fraction) -> int:
     docstring; it is concave with one sign change on n >= 1, so a forward
     scan of exact evaluations terminates and is exact.
     """
-    h = Fraction(h)
-    if h <= 0:
-        raise ValueError("lemma requires h_ext > 0")
-    a, b = _quadratic_data(m, h)
+    a, b = _quadratic_data(m, Fraction(h))
 
     def qt(n: int) -> Fraction:
         return -240 * n * n + a * n + b
 
-    last_nonneg = 0
     n = 1
     while qt(n) >= 0:
-        last_nonneg = n
         n += 1
-    return last_nonneg
+    return n - 1
 
 
 def _isqrt_ceil(value: int) -> int:
@@ -81,10 +79,7 @@ def positive_threshold_witness(m: CharMatrix, h: Fraction) -> Fraction:
     replaced by the least multiple of 1e-6 at or above it, so the witness
     lies at or above the true irrational threshold.
     """
-    h = Fraction(h)
-    if h <= 0:
-        raise ValueError("lemma requires h_ext > 0")
-    a, b = _quadratic_data(m, h)
+    a, b = _quadratic_data(m, Fraction(h))
     disc = a * a + 960 * b
     num, den = disc.numerator, disc.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)

@@ -251,8 +251,7 @@ def seed(cat: CategoryInfo | str, class_index: int) -> tuple[Fraction, CharMatri
     ``class_index`` 0..2 orders the three classes by ascending
     representative c.
     """
-    cat_id = cat if isinstance(cat, str) else cat.id
-    rows = _SEEDS[category(cat_id).id]
+    rows = _SEEDS[category(cat).id]
     if class_index not in (0, 1, 2):
         raise ValueError("class_index must be 0, 1 or 2")
     c, rows_m, h = rows[class_index]
@@ -266,7 +265,7 @@ def seed_rows(cat: CategoryInfo | str) -> tuple[tuple[Fraction, CharMatrix, Frac
 
 def chi_of(cat: CategoryInfo | str, c: Fraction | int) -> CharMatrix:
     """Characteristic matrix at any admissible c, reached from its class seed."""
-    cat = category(cat if isinstance(cat, str) else cat.id)
+    cat = category(cat)
     g = genus(cat, c)  # rejects c outside the category's class mod 8
     for c0, m0, h0 in seed_rows(cat):
         diff = (g.c - c0) / 24

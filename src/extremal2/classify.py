@@ -47,7 +47,7 @@ def candidates(
     cat: CategoryInfo | str,
 ) -> list[tuple[Fraction, CharMatrix, Fraction]]:
     """All (c, chi, h_ext) with c_min <= c <= c_max, ascending in c."""
-    cat = category(cat if isinstance(cat, str) else cat.id)
+    cat = category(cat)
     c_min, c_max = c_extremes(cat)
     found: list[tuple[Fraction, CharMatrix, Fraction]] = []
     for c0, m0, h0 in seed_rows(cat):

@@ -63,8 +63,8 @@ class CategoryInfo(NamedTuple):
     """One catalog row: id, exact S-matrix data, and the two residue classes.
 
     The S-matrix is ``s_num / sqrt(s_norm)`` entrywise; ``s_num`` entries
-    and ``s_norm`` live in Q(sqrt 5), so S^2 = I can be certified exactly
-    while float evaluation is deferred to :func:`modular_rep_check`.
+    and ``s_norm`` live in Q(sqrt 5) and are kept exact.  Nothing checks
+    S^2 = I exactly: :func:`modular_rep_check` checks it in floats.
     """
 
     id: str
@@ -105,8 +105,9 @@ CATALOG: tuple[CategoryInfo, ...] = (
 _BY_ID = {cat.id: cat for cat in CATALOG}
 
 
-def category(cat_id: str) -> CategoryInfo:
-    """Look a catalog row up by its serialized id, e.g. ``"yang-lee"``."""
+def category(cat: CategoryInfo | str) -> CategoryInfo:
+    """Look a catalog row up by its serialized id, e.g. ``"yang-lee"``, or by a row's id."""
+    cat_id = cat if isinstance(cat, str) else cat.id
     try:
         return _BY_ID[cat_id]
     except KeyError:
@@ -120,16 +121,6 @@ def is_admissible(cat: CategoryInfo, c: Fraction | int) -> bool:
     return (Fraction(c) - cat.c_mod8) % 8 == 0
 
 
-def _require_admissible(cat: CategoryInfo, c: Fraction | int) -> Fraction:
-    c = Fraction(c)
-    if not is_admissible(cat, c):
-        raise ValueError(
-            f"c not in category's class mod 8: {cat.id} needs "
-            f"c = {cat.c_mod8} (mod 8), got {c}"
-        )
-    return c
-
-
 def h_ext(cat: CategoryInfo, c: Fraction | int) -> Fraction:
     """The unique weight h in the category's class mod 1 with 0 <= 1 + c/2 - 6h < 6.
 
@@ -137,7 +128,12 @@ def h_ext(cat: CategoryInfo, c: Fraction | int) -> Fraction:
     (U - 1, U] with U = (1 + c/2)/6, which contains exactly one
     representative of each class mod 1.
     """
-    c = _require_admissible(cat, c)
+    c = Fraction(c)
+    if not is_admissible(cat, c):
+        raise ValueError(
+            f"c not in category's class mod 8: {cat.id} needs "
+            f"c = {cat.c_mod8} (mod 8), got {c}"
+        )
     upper = (1 + c / 2) / 6
     return cat.h_mod1 + math.floor(upper - cat.h_mod1)
 
@@ -172,7 +168,7 @@ class Genus(NamedTuple):
 
 def genus(cat: CategoryInfo, c: Fraction | int) -> Genus:
     """Build the genus (cat, c), validating admissibility."""
-    c = _require_admissible(cat, c)
+    c = Fraction(c)
     h = h_ext(cat, c)
     if h.denominator == 1:
         raise ValueError(f"extremal weight {h} must not be an integer")
@@ -208,7 +204,6 @@ def modular_rep_check(cat: CategoryInfo, c: Fraction | int) -> bool:
     T is e^(-2 pi i c/24) * diag(1, e^(2 pi i h_ext)); this is the only
     place in the pipeline where the S-matrix is evaluated numerically.
     """
-    c = _require_admissible(cat, c)
     h = h_ext(cat, c)
     s = [[complex(v) for v in row] for row in cat.s_matrix_float()]
     phase = cmath.exp(-2j * cmath.pi * float(c) / 24)

@@ -142,27 +142,15 @@ class LinearCode:
         return words
 
     def dual(self) -> "LinearCode":
-        """The orthogonal code, from the nullspace of the basis matrix."""
+        """The orthogonal code, from one row reduction of [G^T | I].
+
+        Row p is column p of G above bit n, plus bit p.  Echelon rows below
+        1 << n lost their G^T half, so their I halves are dual words; the
+        other dim rows carry rank G^T, so these n - dim span the dual."""
         n = self.length
-        # Full reduced echelon form: clear every pivot column from the
-        # other rows (descending pivot order needs a single pass).
-        rows = sorted(self._echelon, reverse=True)
-        for i in range(len(rows)):
-            pivot_bit = 1 << (rows[i].bit_length() - 1)
-            for k in range(len(rows)):
-                if k != i and rows[k] & pivot_bit:
-                    rows[k] ^= rows[i]
-        row_of = {n - r.bit_length(): r for r in rows}  # pivot column -> row
-        dual_basis = []
-        for free in range(n):
-            if free in row_of:
-                continue
-            bits = 1 << (n - 1 - free)
-            for col, r in row_of.items():
-                if (r >> (n - 1 - free)) & 1:
-                    bits |= 1 << (n - 1 - col)
-            dual_basis.append(bits)
-        return LinearCode(n, dual_basis)
+        rows = [sum((g >> p & 1) << i for i, g in enumerate(self.basis)) << n | 1 << p
+                for p in range(n)]
+        return LinearCode(n, [r for r in _reduce_rows(rows) if r < 1 << n])
 
     def product(self, other: "LinearCode") -> "LinearCode":
         """Span of all pointwise products of codewords of the two codes."""

@@ -10,6 +10,10 @@ realizations come from ``classify.GOLDEN_GENERA``:
   products;
 * (semion, 9) and (yang-lee, 18/5) tensor these with E8 at level 1, whose
   character is E4/eta^8.
+
+Dual pairs reach further: in eight pairs of genera with h_ext summing to an
+integer, vacuum x vacuum + module x module is E4/eta^8 (c = 8) or J plus a
+constant (c = 24), which pins 14 of the 15 genera.
 """
 
 from __future__ import annotations
@@ -105,3 +109,62 @@ def test_character_matches_its_closed_form_through_order_120(cat_id, c):
     assert (vec.exponent0, vec.exponent1) == (exponent0, exponent1)
     assert vec.series0 == tuple(series0)
     assert vec.series1 == tuple(series1[: ORDER + 1])
+
+
+def j_plus_744(n_terms: int) -> list[int]:
+    """q J + 744 q = E4^3 / prod (1 - q^n)^24, from q^0."""
+    cube = times(e4(n_terms), times(e4(n_terms), e4(n_terms)))
+    return times(cube, inverse_product(range(1, n_terms), n_terms, power=24))
+
+
+PAIR_ORDER = 40
+
+
+def pair_sum(first, second) -> tuple[Fraction, list[int]]:
+    """Leading exponent and coefficients of vacuum x vacuum + module x module."""
+    v, w = (character_vector(expand(genus(category(cat_id), c), chi_of(cat_id, c), PAIR_ORDER))
+            for cat_id, c in (first, second))
+    shift = v.exponent1 + w.exponent1 - v.exponent0 - w.exponent0  # h_ext + h_ext'
+    assert shift.denominator == 1 and shift > 0
+    module = [0] * int(shift) + times(v.series1, w.series1)  # longer than the vacuum term
+    return v.exponent0 + w.exponent0, [a + b for a, b in zip(times(v.series0, w.series0), module)]
+
+
+E8_PAIRS = [
+    (("semion", F(1)), ("semion-bar", F(7))),
+    (("fib", F(14, 5)), ("fib-bar", F(26, 5))),
+]
+
+# each pair with the constant term of its sum, dim V(1) of the product
+J_PAIRS = [
+    (("semion", F(17)), ("semion-bar", F(7)), 456),
+    (("semion-bar", F(23)), ("semion", F(1)), 72),
+    (("fib-bar", F(106, 5)), ("fib", F(14, 5)), 120),
+    (("fib", F(94, 5)), ("fib-bar", F(26, 5)), 240),
+    (("semion-bar", F(15)), ("semion", F(9)), 744),
+    (("fib-bar", F(66, 5)), ("fib", F(54, 5)), 744),
+]
+
+
+def pair_id(value) -> str:
+    return "{}@{}".format(*value) if isinstance(value, tuple) else str(value)
+
+
+def test_j_helper_reproduces_known_coefficients():
+    assert j_plus_744(4) == [1, 744, 196884, 21493760]
+
+
+@pytest.mark.parametrize("first, second", E8_PAIRS, ids=pair_id)
+def test_dual_pair_sums_to_the_e8_character_through_q40(first, second):
+    exponent, total = pair_sum(first, second)
+    assert exponent == F(-1, 3)
+    assert total == times_e8([1] + [0] * (len(total) - 1))
+
+
+@pytest.mark.parametrize("first, second, constant", J_PAIRS, ids=pair_id)
+def test_dual_pair_sums_to_j_plus_a_constant_through_q40(first, second, constant):
+    exponent, total = pair_sum(first, second)
+    assert exponent == -1
+    j = j_plus_744(len(total))
+    assert total[0] == 1 and total[2:] == j[2:]
+    assert total[1] == constant

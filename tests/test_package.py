@@ -3,6 +3,7 @@ the CLI loads every layer but nothing that slows start-up."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+PACKAGE = Path(SRC) / "extremal2"
 
 
 def run_fresh(code: str) -> str:
@@ -94,3 +96,29 @@ def test_every_exported_name_exists(layer):
     with ``getattr``, so a stale entry would crash every traced run."""
     module = importlib.import_module(f"extremal2.{layer}")
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def float_uses(tree: ast.AST) -> list[str]:
+    """Float and complex literals, the names float, complex and cmath, and math.sqrt."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append(repr(node.value))
+        elif isinstance(node, ast.Name) and node.id in ("float", "complex", "cmath"):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr == "sqrt" and (
+                isinstance(node.value, ast.Name) and node.value.id == "math"):
+            found.append("math.sqrt")
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name == "cmath"]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("cmath", "math"):
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if node.module == "cmath" or alias.name == "sqrt"]
+    return found
+
+
+def test_floats_appear_only_in_genus():
+    """The README promises floats in exactly one place: the modular S/T check."""
+    with_floats = {path.name for path in sorted(PACKAGE.glob("*.py"))
+                   if float_uses(ast.parse(path.read_text(), str(path)))}
+    assert with_floats == {"genus.py"}

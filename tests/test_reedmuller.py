@@ -89,7 +89,7 @@ def test_duality_involution_and_dimension_sum():
 
 @st.composite
 def independent_bases(draw):
-    length = draw(st.integers(1, 16))
+    length = draw(st.integers(1, 64))
     rows = draw(st.lists(st.integers(0, (1 << length) - 1), max_size=length))
     basis: list[int] = []
     for row in rows:
@@ -108,6 +108,12 @@ def test_duality_properties_on_random_bases(length_and_basis):
     double = dual.dual()
     assert double.dim == code.dim
     assert all(row in double for row in basis)
+
+
+def test_rm46_basis_meets_both_independent_definitions():
+    basis = rm_codes().rm46.basis
+    assert len(basis) == 57
+    assert all(rm46_member(row) and rm46_member_dual(row) for row in basis)
 
 
 def test_rm24_is_dual_of_rm14():

@@ -28,8 +28,11 @@ orthogonality (the definition of ``rm46_member_dual``, read from a
 bit-sliced table through 8 per-byte tables); the sweep over weight-6 words
 of RM(2,4) whose coset xi + RM(1,6) always has weight enumerator
 64 x^28 + 64 x^36; and the explicit word of the construction whose minimum
-coset weight 28 certifies twisted-module top weight 28/16 = 7/4.  Tables
-are built on first use, never at import.
+coset weight 28 certifies twisted-module top weight 28/16 = 7/4.  The 128
+coset weights wt(xi + g) come from 8 lookups in per-byte tables packing one
+8-bit lane per g, and 2 wt(xi * g) = wt(xi) + wt(g) - wt(xi + g) turns the
+same lanes into the doubly-even test of every product xi * g.  Tables are
+built on first use, never at import.
 """
 
 from __future__ import annotations
@@ -235,6 +238,24 @@ def _dual_byte_tables() -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=1)
+def _weight_lanes() -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """Weights packed one 8-bit lane per word g_k of RM(1,6): lane k of
+    entry v of table j is wt(v ^ byte j of g_k), so the 8 lookups of a
+    word's bytes sum to the lanes wt(xi ^ g_k).  Also the lanes wt(g_k) and
+    ONES, a 1 in every lane.  Lanes stay at most 64, so none carries."""
+    words = _rm16_words()
+    ones = int.from_bytes(bytes([1] * len(words)), "little")
+    columns = [int.from_bytes(bytes(g >> i & 1 for g in words), "little") for i in range(64)]
+    tables = []
+    for j in range(0, 64, 8):
+        table = [sum(columns[j : j + 8])]
+        for column in columns[j : j + 8]:
+            table += [t + ones - 2 * column for t in table]  # +1 where g_k has a 0
+        tables.append(tuple(table))
+    return tuple(tables), sum(columns), ones
+
+
+@lru_cache(maxsize=1)
 def _syndromes() -> tuple[frozenset[int], tuple[int, ...]]:
     """The block characterization as a table: a word is in RM(4,6) iff the
     XOR of its positions' syndromes (fold bit | block-parity bit) is accepted."""
@@ -310,8 +331,8 @@ class Lemma5Report(NamedTuple):
         )
 
 
-def lemma5_check(xi: int) -> Lemma5Report:
-    """Evaluate conditions (i)-(iv) and their brute-force counterparts."""
+def _lemma5(xi: int) -> tuple[Lemma5Report, int]:
+    """The report and the lanes wt(xi ^ g), g in RM(1,6), from one pass."""
     _check64(xi)
     nus = _blocks(xi)
     cond_i = (nus[0] ^ nus[1] ^ nus[2] ^ nus[3]) in _rm14_bitset()
@@ -331,13 +352,28 @@ def lemma5_check(xi: int) -> Lemma5Report:
     for j, table in enumerate(_dual_byte_tables()):
         parities ^= table[xi >> 8 * j & 0xFF]
     subcode_ok = parities == 0
-    doubly_even_ok = subcode_ok and not any(
-        map((3).__and__, map(int.bit_count, map(xi.__and__, _rm16_words()))))
-    return Lemma5Report(cond_i, cond_ii, cond_iii, cond_iv, subcode_ok, doubly_even_ok)
+    tables, weights_g, ones = _weight_lanes()
+    lanes = sum(table[xi >> 8 * j & 0xFF] for j, table in enumerate(tables))
+    # 2 wt(xi & g) = wt(xi) + wt(g) - wt(xi ^ g): lanes of at most 128, each
+    # a multiple of 8 iff xi & g is doubly even
+    twice_and = xi.bit_count() * ones + weights_g - lanes
+    doubly_even_ok = subcode_ok and twice_and & 7 * ones == 0
+    return Lemma5Report(cond_i, cond_ii, cond_iii, cond_iv, subcode_ok, doubly_even_ok), lanes
+
+
+def lemma5_check(xi: int) -> Lemma5Report:
+    """Evaluate conditions (i)-(iv) and their brute-force counterparts."""
+    return _lemma5(xi)[0]
+
+
+def _lane_weights(lanes: int) -> dict[int, int]:
+    """How many lanes hold each weight, ascending in weight."""
+    data = lanes.to_bytes(len(_rm16_words()), "little")
+    return {w: data.count(w) for w in sorted(set(data))}
 
 
 def _coset_enumerator(xi: int) -> dict[int, int]:
-    return _weights(map(xi.__xor__, _rm16_words()))
+    return _lane_weights(_lemma5(xi)[1])
 
 
 class Lemma6Report(NamedTuple):
@@ -360,7 +396,7 @@ def lemma6_scan() -> Lemma6Report:
             continue
         count += 1
         xi = _join(alpha, alpha, alpha, alpha ^ _MASK16)
-        report = lemma5_check(xi)
+        report, lanes = _lemma5(xi)
         if not (
             report.cond_i
             and report.cond_ii
@@ -369,7 +405,7 @@ def lemma6_scan() -> Lemma6Report:
             and report.doubly_even_ok
         ):
             conditions_ok = False
-        enum = _coset_enumerator(xi)
+        enum = _lane_weights(lanes)
         if observed == expected and enum != expected:
             observed = enum
     return Lemma6Report(count, conditions_ok, observed == expected, observed)
@@ -402,13 +438,14 @@ def verify_theorem1_xi() -> XiCertificate:
     28/16 = 7/4 is what the construction needs.
     """
     xi = construction_xi()
-    enum = _coset_enumerator(xi)
+    conditions, lanes = _lemma5(xi)
+    enum = _lane_weights(lanes)
     min_w = min(enum)
     return XiCertificate(
         xi=xi,
         alpha_in_rm24=XI_ALPHA in rm_codes().rm24,
         alpha_weight=XI_ALPHA.bit_count(),
-        conditions=lemma5_check(xi),
+        conditions=conditions,
         coset_enumerator=enum,
         min_coset_weight=min_w,
         top_weight=Fraction(min_w, 16),

@@ -11,9 +11,9 @@ realizations come from ``classify.GOLDEN_GENERA``:
 * (semion, 9) and (yang-lee, 18/5) tensor these with E8 at level 1, whose
   character is E4/eta^8.
 
-Dual pairs reach further: in eight pairs of genera with h_ext summing to an
-integer, vacuum x vacuum + module x module is E4/eta^8 (c = 8) or J plus a
-constant (c = 24), which pins 14 of the 15 genera.
+Dual pairs reach further: in nine pairs of genera with h_ext summing to an
+integer, vacuum x vacuum + module x module is E4/eta^8 (c = 8), J plus a
+constant (c = 24) or j^(5/3) + N j^(2/3) (c = 40), which pins all 15 genera.
 """
 
 from __future__ import annotations
@@ -168,3 +168,18 @@ def test_dual_pair_sums_to_j_plus_a_constant_through_q40(first, second, constant
     j = j_plus_744(len(total))
     assert total[0] == 1 and total[2:] == j[2:]
     assert total[1] == constant
+
+
+def test_c33_dual_pair_sums_to_j_five_thirds_plus_n_j_two_thirds_through_q40():
+    """(semion, 33) x (semion-bar, 7) lands on c = 40: j^(5/3) + N j^(2/3),
+    with j^(1/3) = E4/eta^8 = q^(-1/3) A.  The q^1 coefficient 5 * 248 + N
+    is free; the code gives 136, so N = -1104."""
+    exponent, total = pair_sum(("semion", F(33)), ("semion-bar", F(7)))
+    assert exponent == F(-5, 3)
+    a = times_e8([1] + [0] * (len(total) - 1))
+    a2 = times(a, a)
+    a5 = times(times(a2, a2), a)
+    n = total[1] - a5[1]
+    assert (total[1], n) == (136, -1104)
+    j_sum = [x + n * y for x, y in zip(a5, [0] + a2)]
+    assert total[0] == 1 and total[2:] == j_sum[2:]

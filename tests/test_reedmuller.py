@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -332,6 +333,9 @@ def test_lemma6_reports_the_first_differing_coset_enumerator(monkeypatch):
     dropped = words[2]  # weight 32: each coset loses a word of weight 28 or 36
     reedmuller._dual_byte_tables()  # cached from the whole code, before the patch
     monkeypatch.setattr(reedmuller, "_rm16_words", lambda: words[:2] + words[3:])
+    # the lane tables are built from the patched list, in a cache of their own
+    monkeypatch.setattr(reedmuller, "_weight_lanes",
+                        functools.lru_cache(maxsize=1)(reedmuller._weight_lanes.__wrapped__))
     alphas = [a for a in rm_codes().rm24.codewords() if a.bit_count() == 6]
     lost = [(_join(a, a, a, a ^ 0xFFFF) ^ dropped).bit_count() for a in alphas]
     assert lost[0] == 28 and 36 in lost
@@ -355,6 +359,20 @@ def test_dual_byte_tables_match_the_bit_sliced_columns():
                 if v >> b & 1:
                     expected ^= columns[8 * j + b]
             assert entry == expected, (j, v)
+
+
+def test_weight_lanes_match_direct_popcounts():
+    """Every lane of every entry, and the wt(g) lanes, against bit_count()."""
+    words = reedmuller._rm16_words()
+    tables, weights_g, ones = reedmuller._weight_lanes()
+    lanes = len(words)
+    assert ones.to_bytes(lanes, "little") == bytes([1] * lanes)
+    assert weights_g.to_bytes(lanes, "little") == bytes(g.bit_count() for g in words)
+    assert [len(t) for t in tables] == [256] * 8
+    for j, table in enumerate(tables):
+        for v, entry in enumerate(table):
+            direct = bytes((v ^ (g >> 8 * j & 0xFF)).bit_count() for g in words)
+            assert entry.to_bytes(lanes, "little") == direct, (j, v)
 
 
 def test_self_orthogonality_of_passing_products():

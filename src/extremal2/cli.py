@@ -378,6 +378,8 @@ def main(argv: list[str] | None = None) -> int:
             genus(cat, args.c)
         if getattr(args, "order", 1) < 1:
             raise ValueError("--order must be at least 1")
+        if getattr(args, "order", 1) + 2 > sys.maxsize:  # order + 2 terms must size a list
+            raise ValueError(f"--order must be at most {sys.maxsize - 2}")
     except ValueError as exc:
         args.subparser.error(str(exc))
 

@@ -24,15 +24,17 @@ block characterization (``rm46_member``), evaluated as the XOR of per-position
 20-bit syndromes (fold bit and block-parity bit) looked up in one accept set;
 the subcode/doubly-even conditions (i)-(iv) for words xi = (nu1, nu2, nu3,
 nu4), whose brute force tests every product xi * g, g in RM(1,6), by dual
-orthogonality (the definition of ``rm46_member_dual``, read from a
-bit-sliced table through 8 per-byte tables); the sweep over weight-6 words
-of RM(2,4) whose coset xi + RM(1,6) always has weight enumerator
-64 x^28 + 64 x^36; and the explicit word of the construction whose minimum
-coset weight 28 certifies twisted-module top weight 28/16 = 7/4.  The 128
-coset weights wt(xi + g) come from 8 lookups in per-byte tables packing one
-8-bit lane per g, and 2 wt(xi * g) = wt(xi) + wt(g) - wt(xi + g) turns the
-same lanes into the doubly-even test of every product xi * g.  Tables are
-built on first use, never at import.
+orthogonality (the definition of ``rm46_member_dual``) and for double
+evenness; the sweep over weight-6 words of RM(2,4) whose coset xi + RM(1,6)
+always has weight enumerator 64 x^28 + 64 x^36; and the explicit word of the
+construction whose minimum coset weight 28 certifies twisted-module top
+weight 28/16 = 7/4.  One lane family decides all three per word: 8 lookups
+in per-byte tables packing one 8-bit lane per mask m = g & h (h in the
+RM(1,6) basis; 485 distinct masks, the 128 words g among them) give every
+wt(xi + m), and 2 wt(xi * m) = wt(xi) + wt(m) - wt(xi + m) turns them into
+the parity of each xi * g * h and the weight of each xi * g mod 4, while the
+g lanes are the coset weights.  Tables are built on first use, never at
+import.
 """
 
 from __future__ import annotations
@@ -216,43 +218,28 @@ def _rm16_words() -> tuple[int, ...]:
     return tuple(rm_codes().rm16.codewords())
 
 
-def _dual_columns() -> tuple[int, ...]:
-    """The distinct masks g & h (g in RM(1,6), h in its basis: 485 of 896
-    pairs) bit-sliced: bit k of column i is bit i of the k-th mask."""
-    masks = dict.fromkeys(g & h for g in _rm16_words() for h in rm_codes().rm16.basis)
-    rows = [format(m, "064b")[::-1] for m in masks]  # character i is bit i
-    return tuple(int("".join(column)[::-1], 2) for column in zip(*rows))
-
-
 @lru_cache(maxsize=1)
-def _dual_byte_tables() -> tuple[tuple[int, ...], ...]:
-    """Entry v of table j is the XOR of the columns under the bits v << 8j."""
-    columns = _dual_columns()
-    tables = []
-    for j in range(0, 64, 8):
-        table = [0]
-        for column in columns[j : j + 8]:
-            table += [t ^ column for t in table]
-        tables.append(tuple(table))
-    return tuple(tables)
-
-
-@lru_cache(maxsize=1)
-def _weight_lanes() -> tuple[tuple[tuple[int, ...], ...], int, int]:
-    """Weights packed one 8-bit lane per word g_k of RM(1,6): lane k of
-    entry v of table j is wt(v ^ byte j of g_k), so the 8 lookups of a
-    word's bytes sum to the lanes wt(xi ^ g_k).  Also the lanes wt(g_k) and
-    ONES, a 1 in every lane.  Lanes stay at most 64, so none carries."""
+def _mask_lanes() -> tuple[tuple[tuple[int, ...], ...], int, int, int]:
+    """Weights packed one 8-bit lane per mask m_k, the 485 distinct g & h (g
+    in RM(1,6), h in its basis), with the 128 words g first (the basis holds
+    the all-ones word): lane k of entry v of table j is wt(v ^ byte j of m_k),
+    so the 8 lookups of a word's bytes sum to the lanes wt(xi ^ m_k).  Also
+    the lanes wt(m_k) (the sum of the entries 0), ONES (a 1 in every lane)
+    and the mask of the g lanes."""
     words = _rm16_words()
-    ones = int.from_bytes(bytes([1] * len(words)), "little")
-    columns = [int.from_bytes(bytes(g >> i & 1 for g in words), "little") for i in range(64)]
+    masks = dict.fromkeys([*words, *(g & h for g in words for h in rm_codes().rm16.basis)])
+    ones = int.from_bytes(bytes([1] * len(masks)), "little")
+    weight = bytes(x.bit_count() for x in range(256))
+    bits = [bytes(x >> b & 1 for x in range(256)) for b in range(8)]
     tables = []
     for j in range(0, 64, 8):
-        table = [sum(columns[j : j + 8])]
-        for column in columns[j : j + 8]:
-            table += [t + ones - 2 * column for t in table]  # +1 where g_k has a 0
+        column = bytes(m >> j & 0xFF for m in masks)  # byte j of each mask
+        table = [int.from_bytes(column.translate(weight), "little")]
+        for bit in bits:
+            has_bit = int.from_bytes(column.translate(bit), "little")
+            table += [t + ones - 2 * has_bit for t in table]  # +1 where m_k has a 0
         tables.append(tuple(table))
-    return tuple(tables), sum(columns), ones
+    return tuple(tables), sum(table[0] for table in tables), ones, (1 << 8 * len(words)) - 1
 
 
 @lru_cache(maxsize=1)
@@ -332,7 +319,12 @@ class Lemma5Report(NamedTuple):
 
 
 def _lemma5(xi: int) -> tuple[Lemma5Report, int]:
-    """The report and the lanes wt(xi ^ g), g in RM(1,6), from one pass."""
+    """The report and the lanes wt(xi ^ g), g in RM(1,6), from one pass.
+
+    The 8 lookups in ``_mask_lanes`` sum to the lanes wt(xi ^ m) over the 485
+    masks m = g & h, and 2 wt(xi & m) = wt(xi) + wt(m) - wt(xi ^ m) turns
+    them into both brute-force verdicts; their 128 g lanes are the coset
+    weights."""
     _check64(xi)
     nus = _blocks(xi)
     cond_i = (nus[0] ^ nus[1] ^ nus[2] ^ nus[3]) in _rm14_bitset()
@@ -345,20 +337,16 @@ def _lemma5(xi: int) -> tuple[Lemma5Report, int]:
     cond_iv = all(
         (xi & g).bit_count() % 4 == 0 for g in rm_codes().rm16.basis[:5]
     )
-    # rm46_member_dual(xi & g) for every g in RM(1,6): each xi & g & h, h in
-    # the basis, has even weight.  Bit k of the XOR of the columns under the
-    # bits of xi is the parity of xi & (k-th mask g & h).
-    parities = 0
-    for j, table in enumerate(_dual_byte_tables()):
-        parities ^= table[xi >> 8 * j & 0xFF]
-    subcode_ok = parities == 0
-    tables, weights_g, ones = _weight_lanes()
+    tables, weights, ones, g_lanes = _mask_lanes()
     lanes = sum(table[xi >> 8 * j & 0xFF] for j, table in enumerate(tables))
-    # 2 wt(xi & g) = wt(xi) + wt(g) - wt(xi ^ g): lanes of at most 128, each
-    # a multiple of 8 iff xi & g is doubly even
-    twice_and = xi.bit_count() * ones + weights_g - lanes
-    doubly_even_ok = subcode_ok and twice_and & 7 * ones == 0
-    return Lemma5Report(cond_i, cond_ii, cond_iii, cond_iv, subcode_ok, doubly_even_ok), lanes
+    # lanes 2 wt(xi & m) of at most 128, so none borrows.  All are 0 mod 4
+    # iff every xi & g & h has even weight (rm46_member_dual(xi & g) for
+    # every g); a g lane is 0 mod 8 iff xi & g is doubly even.
+    twice_and = xi.bit_count() * ones + weights - lanes
+    subcode_ok = twice_and & 3 * ones == 0
+    doubly_even_ok = subcode_ok and twice_and & 7 * ones & g_lanes == 0
+    report = Lemma5Report(cond_i, cond_ii, cond_iii, cond_iv, subcode_ok, doubly_even_ok)
+    return report, lanes & g_lanes
 
 
 def lemma5_check(xi: int) -> Lemma5Report:

@@ -1,0 +1,139 @@
+"""A catalog of source mutants that the test suite must kill.
+
+Each entry names a module of ``src/extremal2``, an exact source snippet that
+occurs once under ``src/``, its replacement, and the test ids that must fail
+once the replacement is made.  ``tests/test_mutants.py`` checks on every
+test run that each snippet still occurs exactly once, so a refactor that
+moves one updates this table with it.
+
+The mutants themselves run on demand, not in the test suite:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+Each mutant is applied alone to a temporary copy of ``src/``, ``tests/``,
+``demos/`` and ``perfbench/``, and its tests run there.  It is killed when
+every listed test fails; the exit status is 1 if any mutant survived.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    snippet: str
+    replacement: str
+    kills: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "subcode-on-g-lanes-only", "reedmuller",
+        "subcode_ok = twice_and & 3 * ones == 0",
+        "subcode_ok = twice_and & 3 * ones & g_lanes == 0",
+        ("tests/test_reedmuller.py::test_lemma5_equivalences_on_random_words",
+         "tests/test_reedmuller.py::test_lemma5_equivalences_on_structured_words",
+         "tests/test_reedmuller.py::test_lemma5_and_cosets_match_the_product_by_product_oracle"),
+    ),
+    Mutant(
+        "subcode-mod-2", "reedmuller",
+        "subcode_ok = twice_and & 3 * ones == 0",
+        "subcode_ok = twice_and & 1 * ones == 0",
+        ("tests/test_reedmuller.py::test_lemma5_odd_block_weight_fails_condition_iii",
+         "tests/test_reedmuller.py::test_lemma5_equivalences_on_random_words",
+         "tests/test_reedmuller.py::test_lemma5_equivalences_on_structured_words",
+         "tests/test_reedmuller.py::test_lemma5_and_cosets_match_the_product_by_product_oracle"),
+    ),
+    Mutant(
+        "doubly-even-on-every-lane", "reedmuller",
+        "twice_and & 7 * ones & g_lanes == 0",
+        "twice_and & 7 * ones == 0",
+        ("tests/test_reedmuller.py::test_lemma5_on_construction_word",
+         "tests/test_reedmuller.py::test_lemma5_and_cosets_match_the_product_by_product_oracle",
+         "tests/test_reedmuller.py::test_lemma6_sweep",
+         "tests/test_cli.py::test_rm_verify_check_and_md",
+         "tests/test_acceptance.py::test_criterion_08_code_suite"),
+    ),
+    Mutant(
+        "bumped-a2-in-expand", "charser",
+        "    a, b = ode_series(order + 2)\n",
+        "    a, b = ode_series(order + 2)\n    a[2] += 1\n",
+        ("tests/test_charser.py::test_expansion_matches_schoolbook_d_matrices_on_every_candidate",
+         "tests/test_charser.py::test_every_printed_character_coefficient",
+         "tests/test_cli.py::test_character_check_compares_the_terms_both_sides_have"),
+    ),
+    Mutant(
+        "c-max-one-step-low", "bounds",
+        "c_max = max(c + 24 * nmax_positive(m, h) for c, m, h in seed_rows(cat))",
+        "c_max = max(c + 24 * nmax_positive(m, h) for c, m, h in seed_rows(cat)) - 24",
+        ("tests/test_classify.py::test_no_matrix_outside_the_window_passes_the_constant_term_filter",
+         "tests/test_bounds.py::test_c_extremes_golden_values",
+         "tests/test_acceptance.py::test_criterion_04_c_extremes"),
+    ),
+    Mutant(
+        "stale-all-entry", "reedmuller",
+        '    "construction_xi",\n]',
+        '    "construction_xi",\n    "_dual_byte_tables",\n]',
+        ("tests/test_package.py::test_every_exported_name_exists[reedmuller]",),
+    ),
+    Mutant(
+        "table-built-at-import", "reedmuller",
+        'XI_ALPHA = word("0110 1100 1010 0000")\n',
+        'XI_ALPHA = word("0110 1100 1010 0000")\n_mask_lanes()\n',
+        ("tests/test_package.py::test_cli_import_builds_no_reedmuller_table",),
+    ),
+)
+
+
+def still_passing(mutant: Mutant) -> list[str]:
+    """The listed tests that pass with ``mutant`` applied to a fresh copy."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests", "demos", "perfbench"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        path = copy / "src" / "extremal2" / f"{mutant.module}.py"
+        path.write_text(path.read_text().replace(mutant.snippet, mutant.replacement))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+             *mutant.kills],
+            cwd=copy, env=env, capture_output=True, text=True, timeout=600,
+        )
+    if result.returncode not in (0, 1):  # an unknown test id or a collection error
+        raise RuntimeError(f"{mutant.name}: pytest exited {result.returncode}\n{result.stdout}")
+    failed = {line.split()[1] for line in result.stdout.splitlines()
+              if line.startswith("FAILED ")}
+    return [test for test in mutant.kills if test not in failed]
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in chosen}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    survived = 0
+    for mutant in chosen:
+        passing = still_passing(mutant)
+        survived += bool(passing)
+        verdict = "survived" if passing else "killed"
+        print(f"{verdict:8} {mutant.name}" + "".join(f"\n  still passes: {t}" for t in passing))
+    print(f"{len(chosen) - survived} killed, {survived} survived")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

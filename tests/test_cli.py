@@ -152,6 +152,8 @@ def test_usage_errors_exit_2(tmp_path):
         (("character", "--category", "semion", "--c", "2"), "class mod 8"),
         (("character", "--category", "nonsense", "--c", "1"), "unknown category"),
         (("character", "--category", "semion", "--c", "1", "--order", "0"), "--order"),
+        (("character", "--category", "semion", "--c=1", "--order=99999999999999999999"),
+         "--order must be at most"),
         (("chi", "--category", "semion", "--c", "-1.5"), "class mod 8"),
         (("bounds", "--table", "sideways"), "invalid choice"),
         (("chi", "--category", "semion", "--c", "1", "--out", unwritable), unwritable),

@@ -331,11 +331,10 @@ def test_lemma5_and_cosets_match_the_product_by_product_oracle():
 def test_lemma6_reports_the_first_differing_coset_enumerator(monkeypatch):
     words = reedmuller._rm16_words()
     dropped = words[2]  # weight 32: each coset loses a word of weight 28 or 36
-    reedmuller._dual_byte_tables()  # cached from the whole code, before the patch
     monkeypatch.setattr(reedmuller, "_rm16_words", lambda: words[:2] + words[3:])
     # the lane tables are built from the patched list, in a cache of their own
-    monkeypatch.setattr(reedmuller, "_weight_lanes",
-                        functools.lru_cache(maxsize=1)(reedmuller._weight_lanes.__wrapped__))
+    monkeypatch.setattr(reedmuller, "_mask_lanes",
+                        functools.lru_cache(maxsize=1)(reedmuller._mask_lanes.__wrapped__))
     alphas = [a for a in rm_codes().rm24.codewords() if a.bit_count() == 6]
     lost = [(_join(a, a, a, a ^ 0xFFFF) ^ dropped).bit_count() for a in alphas]
     assert lost[0] == 28 and 36 in lost
@@ -345,34 +344,25 @@ def test_lemma6_reports_the_first_differing_coset_enumerator(monkeypatch):
     assert report.coset_enumerator == {28: 63, 36: 64}
 
 
-def test_dual_byte_tables_match_the_bit_sliced_columns():
-    """Rebuild the columns one mask bit at a time and check every entry."""
+def test_mask_lanes_match_direct_popcounts():
+    """Every lane of every entry over the 485 masks g & h against
+    bit_count(), the 128 words g first, and the wt(m), ONES and g-lane words."""
     rm16 = rm_codes().rm16
-    masks = dict.fromkeys(g & h for g in rm16.codewords() for h in rm16.basis)
-    columns = [sum(1 << k for k, m in enumerate(masks) if m >> i & 1) for i in range(64)]
-    tables = reedmuller._dual_byte_tables()
+    tables, weights, ones, g_lanes = reedmuller._mask_lanes()
+    lanes = 485
     assert [len(t) for t in tables] == [256] * 8
-    for j, table in enumerate(tables):
+    rows = [[entry.to_bytes(lanes, "little") for entry in table] for table in tables]
+    # byte j of mask k is the one entry v of table j whose lane k reads 0
+    masks = [sum(next(v for v in range(256) if rows[j][v][k] == 0) << 8 * j for j in range(8))
+             for k in range(lanes)]
+    assert masks[:128] == list(reedmuller._rm16_words())
+    assert sorted(masks) == sorted({g & h for g in rm16.codewords() for h in rm16.basis})
+    for j, table in enumerate(rows):
         for v, entry in enumerate(table):
-            expected = 0
-            for b in range(8):
-                if v >> b & 1:
-                    expected ^= columns[8 * j + b]
-            assert entry == expected, (j, v)
-
-
-def test_weight_lanes_match_direct_popcounts():
-    """Every lane of every entry, and the wt(g) lanes, against bit_count()."""
-    words = reedmuller._rm16_words()
-    tables, weights_g, ones = reedmuller._weight_lanes()
-    lanes = len(words)
+            assert entry == bytes((v ^ (m >> 8 * j & 0xFF)).bit_count() for m in masks), (j, v)
+    assert weights.to_bytes(lanes, "little") == bytes(m.bit_count() for m in masks)
     assert ones.to_bytes(lanes, "little") == bytes([1] * lanes)
-    assert weights_g.to_bytes(lanes, "little") == bytes(g.bit_count() for g in words)
-    assert [len(t) for t in tables] == [256] * 8
-    for j, table in enumerate(tables):
-        for v, entry in enumerate(table):
-            direct = bytes((v ^ (g >> 8 * j & 0xFF)).bit_count() for g in words)
-            assert entry.to_bytes(lanes, "little") == direct, (j, v)
+    assert g_lanes.to_bytes(lanes, "little") == bytes([0xFF] * 128 + [0] * (lanes - 128))
 
 
 def test_self_orthogonality_of_passing_products():

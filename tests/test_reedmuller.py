@@ -344,11 +344,12 @@ def test_lemma6_reports_the_first_differing_coset_enumerator(monkeypatch):
     assert report.coset_enumerator == {28: 63, 36: 64}
 
 
-def test_mask_lanes_match_direct_popcounts():
-    """Every lane of every entry over the 485 masks g & h against
-    bit_count(), the 128 words g first, and the wt(m), ONES and g-lane words."""
+def test_dual_byte_tables_match_the_bit_sliced_columns():
+    """Rebuild every lane of the 485 masks g & h one mask bit at a time:
+    lane k of entry v of table j counts the bits b where v and byte j of the
+    k-th mask differ, read from bit-sliced column 8j + b."""
     rm16 = rm_codes().rm16
-    tables, weights, ones, g_lanes = reedmuller._mask_lanes()
+    tables, weights, ones, _ = reedmuller._mask_lanes()
     lanes = 485
     assert [len(t) for t in tables] == [256] * 8
     rows = [[entry.to_bytes(lanes, "little") for entry in table] for table in tables]
@@ -357,12 +358,30 @@ def test_mask_lanes_match_direct_popcounts():
              for k in range(lanes)]
     assert masks[:128] == list(reedmuller._rm16_words())
     assert sorted(masks) == sorted({g & h for g in rm16.codewords() for h in rm16.basis})
-    for j, table in enumerate(rows):
-        for v, entry in enumerate(table):
-            assert entry == bytes((v ^ (m >> 8 * j & 0xFF)).bit_count() for m in masks), (j, v)
-    assert weights.to_bytes(lanes, "little") == bytes(m.bit_count() for m in masks)
+    # column i holds bit i of each mask, one 0/1 lane per mask
+    columns = [int.from_bytes(bytes(m >> i & 1 for m in masks), "little") for i in range(64)]
+    assert weights == sum(columns)
     assert ones.to_bytes(lanes, "little") == bytes([1] * lanes)
-    assert g_lanes.to_bytes(lanes, "little") == bytes([0xFF] * 128 + [0] * (lanes - 128))
+    for j, table in enumerate(tables):
+        for v, entry in enumerate(table):
+            expected = sum(ones - columns[8 * j + b] if v >> b & 1 else columns[8 * j + b]
+                           for b in range(8))
+            assert entry == expected, (j, v)
+
+
+def test_weight_lanes_match_direct_popcounts():
+    """The 128 g lanes of every entry, and the wt(g) lanes, against bit_count()."""
+    words = reedmuller._rm16_words()
+    tables, weights, ones, g_lanes = reedmuller._mask_lanes()
+    lanes = len(words)
+    assert g_lanes.to_bytes(485, "little") == bytes([0xFF] * lanes + [0] * (485 - lanes))
+    assert (ones & g_lanes).to_bytes(lanes, "little") == bytes([1] * lanes)
+    assert (weights & g_lanes).to_bytes(lanes, "little") == bytes(g.bit_count() for g in words)
+    assert [len(t) for t in tables] == [256] * 8
+    for j, table in enumerate(tables):
+        for v, entry in enumerate(table):
+            direct = bytes((v ^ (g >> 8 * j & 0xFF)).bit_count() for g in words)
+            assert (entry & g_lanes).to_bytes(lanes, "little") == direct, (j, v)
 
 
 def test_self_orthogonality_of_passing_products():

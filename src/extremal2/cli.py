@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
 from importlib import resources
+from typing import NoReturn
 
 from . import __version__, bounds, classify
 from .charser import character_vector, expand
@@ -347,16 +350,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None, parser: argparse.ArgumentParser) -> None:
-    if not out:
-        sys.stdout.write(text)
+    """Write ``text`` to ``out`` or, flushed, to stdout; a destination that
+    cannot take it is a bad argument."""
+    if out:
+        try:
+            fh = open(out, "w")
+        except OSError as exc:
+            parser.error(f"cannot write --out {out}: {exc.strerror}")
+        with fh:
+            fh.write(text)
         return
     try:
-        fh = open(out, "w")
+        if sys.stdout is None:  # fd 1 was closed at start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except OSError as exc:
-        # an --out that cannot be opened is a bad argument
-        parser.error(f"cannot write --out {out}: {exc.strerror}")
-    with fh:
-        fh.write(text)
+        if sys.stdout is not None:  # so the exit's own flush of the rest stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        parser.error(f"cannot write stdout: {exc.strerror}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -392,7 +404,10 @@ def main(argv: list[str] | None = None) -> int:
         rows = classify.classify_all()
         data, fixture = classify_data(rows, only), "classify.json"
     elif args.command == "character":
-        data, md = character_data(only, args.c, args.order), _render_character_md
+        try:
+            data, md = character_data(only, args.c, args.order), _render_character_md
+        except MemoryError:  # at once, when order + 2 terms cannot be allocated
+            args.subparser.error(f"--order {args.order} needs more memory than is available")
     elif args.command == "chi":
         data = chi_data(only, args.c)
     else:
@@ -410,5 +425,17 @@ def main(argv: list[str] | None = None) -> int:
     return _check_against(data, fixture, only)
 
 
+def run() -> NoReturn:
+    """Entry point of ``extremal2`` and ``python -m extremal2``: ``main``, then
+    flush and end the process at once (as ``mypy.util.hard_exit`` does), so no
+    time goes to freeing every loaded module and atexit hooks do not run.  An
+    exception, or argparse's ``SystemExit``, takes the normal way out."""
+    rc = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -20,12 +20,13 @@ the block characterization
 
 On top of these sit the certification scans: the minimum weight 4 of
 RM(4,6), whose scan puts all 43744 words of weight at most 3 through the
-block characterization (``rm46_member``), evaluated as the XOR of per-position
-20-bit syndromes (fold bit and block-parity bit) looked up in one accept set;
-the subcode/doubly-even conditions (i)-(iv) for words xi = (nu1, nu2, nu3,
-nu4), whose brute force tests every product xi * g, g in RM(1,6), by dual
-orthogonality (the definition of ``rm46_member_dual``) and for double
-evenness; the sweep over weight-6 words of RM(2,4) whose coset xi + RM(1,6)
+block characterization (``rm46_member``): each position's 20-bit syndrome
+(fold bit and block-parity bit) reduced modulo the accepted syndromes, a
+linear space, gives one representative per position, and a word belongs iff
+its positions' representatives XOR to 0; the subcode/doubly-even conditions
+(i)-(iv) for words xi = (nu1, nu2, nu3, nu4), whose brute force tests every
+product xi * g, g in RM(1,6), by dual orthogonality (the definition of
+``rm46_member_dual``) and for double evenness; the sweep over weight-6 words of RM(2,4) whose coset xi + RM(1,6)
 always has weight enumerator 64 x^28 + 64 x^36; and the explicit word of the
 construction whose minimum coset weight 28 certifies twisted-module top
 weight 28/16 = 7/4.  One lane family decides all three per word: 8 lookups
@@ -130,10 +131,15 @@ class LinearCode:
     def dim(self) -> int:
         return len(self.basis)
 
-    def __contains__(self, bits: int) -> bool:
+    def reduce(self, bits: int) -> int:
+        """The representative of the coset ``bits`` + code: ``bits`` with every
+        echelon pivot cleared.  Linear in ``bits``, and 0 exactly on the code."""
         for row in self._echelon:
             bits = min(bits, bits ^ row)
-        return bits == 0
+        return bits
+
+    def __contains__(self, bits: int) -> bool:
+        return self.reduce(bits) == 0
 
     def codewords(self) -> list[int]:
         """Full span; guarded so RM(4,6) (dim 57) can never be expanded."""
@@ -243,11 +249,13 @@ def _mask_lanes() -> tuple[tuple[tuple[int, ...], ...], int, int, int]:
 
 
 @lru_cache(maxsize=1)
-def _syndromes() -> tuple[frozenset[int], tuple[int, ...]]:
-    """The block characterization as a table: a word is in RM(4,6) iff the
-    XOR of its positions' syndromes (fold bit | block-parity bit) is accepted."""
-    accept = frozenset(f | par << 16 for f in _rm24_bitset() for par in (0, 0xF))
-    return accept, tuple(1 << (15 - p % 16) | 1 << (16 + p // 16) for p in range(64))
+def _position_reps() -> tuple[int, ...]:
+    """The block characterization as a table: each position's syndrome (fold
+    bit | block-parity bit) reduced modulo the accepted syndromes, the span of
+    the RM(2,4) folds and of equal parity in all four blocks.  A word is in
+    RM(4,6) iff its positions' representatives XOR to 0."""
+    accepted = LinearCode(20, [*rm_codes().rm24.basis, 0xF << 16])
+    return tuple(accepted.reduce(1 << (15 - p % 16) | 1 << (16 + p // 16)) for p in range(64))
 
 
 def rm46_member(bits: int) -> bool:
@@ -272,14 +280,17 @@ def min_weight_rm46() -> tuple[int, int]:
     produces a weight-4 member by planting a weight-4 RM(2,4) word in the
     first block.
     """
-    accept, units = _syndromes()
+    reps = _position_reps()
     # a word of weight wt is a head of weight wt - 1 ending at position
-    # ``last`` plus one later position; heads and tails in combinations order
-    singles = list(enumerate(units))
+    # ``last`` plus one later position k, and belongs iff the head's
+    # representative is rep k: one lookup in the set of the later positions'
+    # representatives.  Heads and tails in combinations order.
+    tails = [frozenset(reps[k:]) for k in range(65)]
+    singles = list(enumerate(reps))
     pairs = [(j, a ^ b) for (_, a), (j, b) in itertools.combinations(singles, 2)]
     for wt, heads in ((1, [(-1, 0)]), (2, singles), (3, pairs)):
         for last, head in heads:
-            if not accept.isdisjoint(map(head.__xor__, units[last + 1 :])):
+            if head in tails[last + 1]:
                 raise RuntimeError(f"unexpected weight-{wt} word in RM(4,6)")
     planted = [w for w in rm_codes().rm24.codewords() if w.bit_count() == 4]
     if not planted:
@@ -375,8 +386,7 @@ class Lemma6Report(NamedTuple):
 
 def lemma6_scan() -> Lemma6Report:
     """For every weight-6 alpha in RM(2,4), certify (alpha,alpha,alpha,alpha^c)."""
-    expected = {28: 64, 36: 64}
-    observed = expected  # all cosets' shared enumerator, or the first that differs
+    differing = None  # the first coset enumerator other than 64 x^28 + 64 x^36
     count = 0
     conditions_ok = True
     for alpha in rm_codes().rm24.codewords():
@@ -393,10 +403,13 @@ def lemma6_scan() -> Lemma6Report:
             and report.doubly_even_ok
         ):
             conditions_ok = False
-        enum = _lane_weights(lanes)
-        if observed == expected and enum != expected:
-            observed = enum
-    return Lemma6Report(count, conditions_ok, observed == expected, observed)
+        if differing is None:
+            # 64 lanes of 28 and 64 of 36 fill all 128: the enumerator matches
+            data = lanes.to_bytes(len(_rm16_words()), "little")
+            if data.count(28) != 64 or data.count(36) != 64:
+                differing = _lane_weights(lanes)
+    matches = differing is None
+    return Lemma6Report(count, conditions_ok, matches, {28: 64, 36: 64} if matches else differing)
 
 
 # The explicit weight-6 word of the c = 33 construction.

@@ -66,6 +66,30 @@ MUTANTS = (
          "tests/test_acceptance.py::test_criterion_08_code_suite"),
     ),
     Mutant(
+        "tail-one-position-short", "reedmuller",
+        "tails = [frozenset(reps[k:]) for k in range(65)]",
+        "tails = [frozenset(reps[k + 1 :]) for k in range(65)]",
+        ("tests/test_reedmuller.py::test_min_weight_scan_reaches_the_last_weight3_word",
+         "tests/test_reedmuller.py::test_min_weight_scan_tests_each_word_at_its_weight[positions2]",
+         "tests/test_reedmuller.py::test_min_weight_scan_tests_each_word_at_its_weight[positions5]"),
+    ),
+    Mutant(
+        "weight-2-words-unscanned", "reedmuller",
+        "((1, [(-1, 0)]), (2, singles), (3, pairs))",
+        "((1, [(-1, 0)]), (3, pairs))",
+        ("tests/test_reedmuller.py::test_min_weight_scan_tests_each_word_at_its_weight[positions2]",
+         "tests/test_reedmuller.py::test_min_weight_scan_tests_each_word_at_its_weight[positions3]",
+         "tests/test_reedmuller.py::test_min_weight_scan_tests_each_word_at_its_weight[positions4]"),
+    ),
+    Mutant(
+        "wrong-coset-count", "reedmuller",
+        "data.count(36) != 64",
+        "data.count(36) != 63",
+        ("tests/test_reedmuller.py::test_lemma6_sweep",
+         "tests/test_cli.py::test_rm_verify_check_and_md",
+         "tests/test_acceptance.py::test_criterion_08_code_suite"),
+    ),
+    Mutant(
         "bumped-a2-in-expand", "charser",
         "    a, b = ode_series(order + 2)\n",
         "    a, b = ode_series(order + 2)\n    a[2] += 1\n",

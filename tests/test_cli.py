@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -154,6 +155,9 @@ def test_usage_errors_exit_2(tmp_path):
         (("character", "--category", "semion", "--c", "1", "--order", "0"), "--order"),
         (("character", "--category", "semion", "--c=1", "--order=99999999999999999999"),
          "--order must be at most"),
+        # passes that bound, but its series fails to allocate at once
+        (("character", "--category", "semion", "--c=1", "--order=9223372036854775805"),
+         "--order 9223372036854775805 needs more memory"),
         (("chi", "--category", "semion", "--c", "-1.5"), "class mod 8"),
         (("bounds", "--table", "sideways"), "invalid choice"),
         (("chi", "--category", "semion", "--c", "1", "--out", unwritable), unwritable),
@@ -162,6 +166,72 @@ def test_usage_errors_exit_2(tmp_path):
         assert res.returncode == 2 and res.stdout == ""
         assert f"usage: extremal2 {argv[0]} [-h]" in res.stderr
         assert f"extremal2 {argv[0]}: error: " in res.stderr and message in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog",),  # fits stdout's buffer, so the flush fails
+    ("character", "--category", "semion", "--c=33", "--order", "200"),  # the write fails
+])
+def test_a_broken_stdout_is_a_usage_error(argv):
+    read, write = os.pipe()
+    os.close(read)  # before the child starts, so every write to the pipe fails
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # stdout buffers
+    try:
+        res = subprocess.run(PKG + list(argv), stdout=write, stderr=subprocess.PIPE,
+                             text=True, timeout=300, env=env)
+    finally:
+        os.close(write)
+    assert res.returncode == 2
+    assert res.stderr.endswith(f"extremal2 {argv[0]}: error: cannot write stdout: Broken pipe\n")
+    assert "Traceback" not in res.stderr and "Exception ignored" not in res.stderr
+
+
+def test_a_closed_stdout_is_a_usage_error():
+    res = subprocess.run(["sh", "-c", 'exec "$0" -m extremal2 catalog >&-', sys.executable],
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 2
+    assert res.stderr.endswith("extremal2 catalog: error: cannot write stdout: "
+                               "Bad file descriptor\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "--format", "csv"),
+    ("bounds", "--table", "nmax-negative", "--check"),
+    ("classify", "--format", "md"),
+    ("classify", "--category", "semion-dagger"),
+    ("character", "--category", "yang-lee", "--c=-22/5", "--order", "12", "--check"),
+    ("chi", "--category", "semion", "--c", "49", "--format", "md"),
+    ("rm", "verify", "--format", "md"),
+])
+def test_fast_exit_keeps_stdout_and_exit_code(argv, classify_calls):
+    """``python -m extremal2`` ends through ``cli.run`` and ``os._exit``; what
+    it prints and returns is what ``main`` gives in this process."""
+    res = subprocess.run(PKG + list(argv), capture_output=True, timeout=300)
+    assert (res.returncode, res.stdout.decode()) == run_main(*argv)
+
+
+def test_fast_exit_writes_out_whole(tmp_path):
+    # usage errors under the fast exit: test_usage_errors_exit_2 runs python -m
+    target = tmp_path / "rm.md"
+    res = run_cli("rm", "verify", "--format", "md", "--out", str(target))
+    assert (res.returncode, res.stdout) == (0, "")
+    assert target.read_bytes() == run_cli("rm", "verify", "--format", "md").stdout.encode()
+
+
+def test_both_entry_points_exit_through_run_without_teardown():
+    root = Path(__file__).resolve().parents[1]
+    assert 'extremal2 = "extremal2.cli:run"' in (root / "pyproject.toml").read_text()
+    assert "    run()\n" in (root / "src" / "extremal2" / "__main__.py").read_text()
+    # an atexit hook would run at teardown, which run skips
+    script = ("import atexit, sys\n"
+              "atexit.register(print, 'teardown', file=sys.stderr)\n"
+              "sys.argv[1:] = ['catalog']\n"
+              "from extremal2.cli import run\n"
+              "run()\n")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=300)
+    assert res.returncode == 0 and json.loads(res.stdout) == fixture("catalog.json")["rows"]
+    assert "teardown" not in res.stderr
 
 
 def test_encode_keeps_a_charmatrix_a_dict():

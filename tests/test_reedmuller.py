@@ -111,6 +111,17 @@ def test_duality_properties_on_random_bases(length_and_basis):
     assert all(row in double for row in basis)
 
 
+@given(independent_bases(), st.data())
+def test_reduce_gives_one_linear_representative_per_coset(length_and_basis, data):
+    length, basis = length_and_basis
+    code = LinearCode(length, basis)
+    x, y = (data.draw(st.integers(0, (1 << length) - 1)) for _ in range(2))
+    assert code.reduce(x ^ y) == code.reduce(x) ^ code.reduce(y)
+    assert x ^ code.reduce(x) in code
+    assert all(code.reduce(x ^ row) == code.reduce(x) for row in basis)
+    assert (code.reduce(x) == 0) == (x in code)
+
+
 def test_rm46_basis_meets_both_independent_definitions():
     basis = rm_codes().rm46.basis
     assert len(basis) == 57
@@ -179,19 +190,20 @@ def test_min_weight_four_with_witness():
 
 
 def test_min_weight_raises_on_a_broken_membership_test(monkeypatch):
-    accept, units = reedmuller._syndromes()
-    # accepts every syndrome a weight-1 word can have, so the first word raises
-    monkeypatch.setattr(reedmuller, "_syndromes", lambda: (frozenset(units), units))
+    # modulo a space that holds every position's syndrome, every
+    # representative is 0, so the first word raises
+    monkeypatch.setattr(reedmuller, "_position_reps", lambda: (0,) * 64)
     with pytest.raises(RuntimeError, match="unexpected weight-1"):
         min_weight_rm46()
 
 
 def test_min_weight_scan_reaches_the_last_weight3_word(monkeypatch):
-    # the syndrome of positions 61, 62, 63, the last of the 43744 words in
-    # scan order; no word of weight 1 or 2 has it
-    accept, units = reedmuller._syndromes()
-    last = frozenset({units[61] ^ units[62] ^ units[63]})
-    monkeypatch.setattr(reedmuller, "_syndromes", lambda: (last, units))
+    # with one bit per position and rep 63 = rep 61 ^ rep 62, the only word of
+    # weight at most 3 whose representatives XOR to 0 is positions 61, 62, 63,
+    # the last of the 43744 words in scan order
+    units = tuple(1 << (63 - p) for p in range(64))
+    reps = units[:63] + (units[61] ^ units[62],)
+    monkeypatch.setattr(reedmuller, "_position_reps", lambda: reps)
     with pytest.raises(RuntimeError, match="unexpected weight-3"):
         min_weight_rm46()
 
@@ -199,20 +211,22 @@ def test_min_weight_scan_reaches_the_last_weight3_word(monkeypatch):
 @pytest.mark.parametrize("positions", [
     (0,), (63,), (0, 1), (5, 40), (62, 63), (0, 1, 2), (7, 23, 56), (61, 62, 63)])
 def test_min_weight_scan_tests_each_word_at_its_weight(positions, monkeypatch):
-    """With one bit per position as the syndrome, a syndrome is the word
-    itself, so accepting one word raises exactly when the scan reaches it
+    """With one bit per position as the syndrome and the accepted space
+    spanned by one word's syndrome, that word is the only one whose
+    representatives XOR to 0, so the scan raises exactly when it reaches it
     (real syndromes are shared: positions 13, 14, 63 have the one of 61,
     62, 63)."""
     units = tuple(1 << (63 - p) for p in range(64))
-    target = frozenset({sum(units[p] for p in positions)})
-    monkeypatch.setattr(reedmuller, "_syndromes", lambda: (target, units))
+    accepted = LinearCode(64, [sum(units[p] for p in positions)])
+    reps = tuple(map(accepted.reduce, units))
+    monkeypatch.setattr(reedmuller, "_position_reps", lambda: reps)
     with pytest.raises(RuntimeError, match=f"unexpected weight-{len(positions)}"):
         min_weight_rm46()
 
 
 def test_weight_census_matches_macwilliams_transform():
     """Count RM(4,6) words of weight <= 4, by ``rm46_member`` and by the
-    min-weight scan's syndrome table, and compare with the transform of
+    min-weight scan's representative table, and compare with the transform of
     RM(1,6)'s enumerator (an independent binomial computation)."""
 
     def krawtchouk(w: int) -> int:
@@ -227,19 +241,19 @@ def test_weight_census_matches_macwilliams_transform():
             128,
         )
 
-    # the min-weight scan's syndrome table must agree with rm46_member on
-    # every word; bit p of a word is the scan's position 63 - p
-    accept, units = reedmuller._syndromes()
+    # the min-weight scan's representative table must agree with rm46_member
+    # on every word; bit p of a word is the scan's position 63 - p
+    reps = reedmuller._position_reps()
     census = {w: 0 for w in range(5)}
     census[0] = 1
     for wt in (1, 2, 3, 4):
         for positions in itertools.combinations(range(64), wt):
-            bits = syndrome = 0
+            bits = rep = 0
             for p in positions:
                 bits |= 1 << p
-                syndrome ^= units[63 - p]
+                rep ^= reps[63 - p]
             member = rm46_member(bits)
-            assert (syndrome in accept) == member, positions
+            assert (rep == 0) == member, positions
             census[wt] += member
     assert census == {0: 1, 1: 0, 2: 0, 3: 0, 4: 10416}
     for w in range(5):

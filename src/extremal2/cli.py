@@ -9,6 +9,7 @@ goes to stderr so stdout stays clean for diffing.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import io
@@ -252,12 +253,15 @@ _BOUNDS_FIXTURES = {"summary": "bounds_summary.json", "nmax-positive": "nmax_pos
                     "nmax-negative": "nmax_negative.json"}
 
 
+def _note(line: str) -> None:
+    """Write ``line`` to stderr; a closed stderr (None, or on a dead fd) loses it."""
+    with contextlib.suppress(AttributeError, OSError):
+        sys.stderr.write(line + "\n")
+
+
 def _verdict(ok: bool, fixture_name: str) -> int:
-    if ok:
-        print("check passed", file=sys.stderr)
-        return EXIT_OK
-    print(f"check FAILED against fixtures/{fixture_name}", file=sys.stderr)
-    return EXIT_MISMATCH
+    _note("check passed" if ok else f"check FAILED against fixtures/{fixture_name}")
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 def _check_against(data, fixture_name: str, only: str | None = None) -> int:
@@ -278,7 +282,7 @@ def _check_character(data: dict) -> int:
     for row in _load_fixture("characters.json")["rows"]:
         if (row["category"], row["c"]) == (data["category"], data["c"]):
             return _verdict(cut(data, row) == cut(row, data), "characters.json")
-    print("no fixture row for this genus", file=sys.stderr)
+    _note("no fixture row for this genus")
     return EXIT_MISMATCH
 
 
@@ -353,12 +357,11 @@ def _emit(text: str, out: str | None, parser: argparse.ArgumentParser) -> None:
     """Write ``text`` to ``out`` or, flushed, to stdout; a destination that
     cannot take it is a bad argument."""
     if out:
-        try:
-            fh = open(out, "w")
+        try:  # a full device fails only at the write or the close
+            with open(out, "w") as fh:
+                fh.write(text)
         except OSError as exc:
             parser.error(f"cannot write --out {out}: {exc.strerror}")
-        with fh:
-            fh.write(text)
         return
     try:
         if sys.stdout is None:  # fd 1 was closed at start-up
@@ -376,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     args, extra = parser.parse_known_args(argv)
     if extra:  # reported by the subcommand's parser, like every later usage error
         args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
-    print(f"extremal2 {__version__}", file=sys.stderr)
+    _note(f"extremal2 {__version__}")
     # chi entries grow by about 6 digits per 24-step in c, so output has no
     # digit limit (interpreters without the limit lack the function)
     if hasattr(sys, "set_int_max_str_digits"):
@@ -416,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # the full classification always self-verifies against the embedded table
     if args.command == "classify" and not classify.matches_golden(rows):
-        print("classification differs from the embedded golden table", file=sys.stderr)
+        _note("classification differs from the embedded golden table")
         return EXIT_MISMATCH
     if not getattr(args, "check", False):
         return EXIT_OK
@@ -432,7 +435,7 @@ def run() -> NoReturn:
     exception, or argparse's ``SystemExit``, takes the normal way out."""
     rc = main()
     for stream in (sys.stdout, sys.stderr):
-        if stream is not None:
+        with contextlib.suppress(AttributeError, OSError):  # None, or on a closed fd
             stream.flush()
     os._exit(rc)
 

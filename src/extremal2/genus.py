@@ -17,7 +17,6 @@ per-category bound tables downstream are keyed to.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -37,34 +36,36 @@ __all__ = [
 
 
 class Surd(NamedTuple):
-    """Exact number a + b*sqrt(d) with rational a, b and d in {1, 5}."""
+    """Exact element a + b*sqrt(5) of Q(sqrt 5), with rational a and b."""
 
     a: Fraction
     b: Fraction = Fraction(0)
-    d: int = 1
-
-    def value(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
         sign = "+" if self.b > 0 else "-"
-        return f"{self.a}{sign}{abs(self.b)}*sqrt({self.d})"
+        return f"{self.a}{sign}{abs(self.b)}*sqrt(5)"
 
 
 def _s(a, b=0) -> Surd:
-    if b == 0:
-        return Surd(Fraction(a))
-    return Surd(Fraction(a), Fraction(b), 5)
+    return Surd(Fraction(a), Fraction(b))
+
+
+def _add(x: Surd, y: Surd) -> Surd:
+    return Surd(x.a + y.a, x.b + y.b)
+
+
+def _mul(x: Surd, y: Surd) -> Surd:
+    return Surd(x.a * y.a + 5 * x.b * y.b, x.a * y.b + x.b * y.a)
 
 
 class CategoryInfo(NamedTuple):
     """One catalog row: id, exact S-matrix data, and the two residue classes.
 
     The S-matrix is ``s_num / sqrt(s_norm)`` entrywise; ``s_num`` entries
-    and ``s_norm`` live in Q(sqrt 5) and are kept exact.  Nothing checks
-    S^2 = I exactly: :func:`modular_rep_check` checks it in floats.
+    and ``s_norm`` live in Q(sqrt 5), and :func:`modular_rep_check`
+    decides S^2 = I and (S T)^3 = I on them exactly.
     """
 
     id: str
@@ -72,10 +73,6 @@ class CategoryInfo(NamedTuple):
     s_norm: Surd
     c_mod8: Fraction
     h_mod1: Fraction
-
-    def s_matrix_float(self) -> list[list[float]]:
-        scale = 1.0 / math.sqrt(self.s_norm.value())
-        return [[e.value() * scale for e in row] for row in self.s_num]
 
     def __str__(self) -> str:
         return self.id
@@ -85,6 +82,9 @@ _PHI = _s(Fraction(1, 2), Fraction(1, 2))          # golden ratio
 _PHI_M1 = _s(Fraction(-1, 2), Fraction(1, 2))      # golden ratio - 1
 _TWO_PLUS_PHI = _s(Fraction(5, 2), Fraction(1, 2))
 _THREE_MINUS_PHI = _s(Fraction(5, 2), Fraction(-1, 2))
+# 4 sin^2(pi h), keyed by the distance from h to the nearest integer
+_FOUR_SIN2 = {Fraction(1, 4): _s(2), Fraction(1, 5): _THREE_MINUS_PHI,
+              Fraction(2, 5): _TWO_PLUS_PHI}
 
 _SEMION_S = ((_s(1), _s(1)), (_s(1), _s(-1)))
 _DAGGER_S = ((_s(-1), _s(1)), (_s(1), _s(1)))
@@ -178,37 +178,33 @@ def genus(cat: CategoryInfo, c: Fraction | int) -> Genus:
     return Genus(cat, c, h, int(ell), 1 - c / 24, h - c / 24)
 
 
-def _mat_mul(a, b):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)]
-        for i in range(2)
-    ]
-
-
-def _max_dev_from_identity(m) -> float:
-    dev = 0.0
-    for i in range(2):
-        for j in range(2):
-            target = 1.0 if i == j else 0.0
-            dev = max(dev, abs(m[i][j] - target))
-    return dev
-
-
-# largest entry-wise deviation from I that modular_rep_check accepts
-_REP_TOL = 1e-12
-
-
 def modular_rep_check(cat: CategoryInfo, c: Fraction | int) -> bool:
-    """Float check that S^2 = I and (S T)^3 = I for the genus (cat, c).
+    """Exact check that S^2 = I and (S T)^3 = I for the genus (cat, c).
 
-    T is e^(-2 pi i c/24) * diag(1, e^(2 pi i h_ext)); this is the only
-    place in the pipeline where the S-matrix is evaluated numerically.
+    Write S = A/sqrt(N), A = ((a, b), (b', e)) = ``s_num``, N = ``s_norm``,
+    and T = t*diag(1, u), t = e^(-2 pi i c/24), u = e^(2 pi i h), h = h_ext.
+
+    - S^2 = I iff A^2 = N*I: e = -a and a^2 + b*b' = N, or A = a*I, where
+      ST = +-T and T^3 is not scalar, as 3h is not an integer.
+    - With e = -a, ST is not scalar, so by Cayley-Hamilton (ST)^3 = I iff
+      tr^2 = det and tr*det = -1.  As det = -t^2 u and
+      tr = a t (1 - u)/sqrt(N) with 1 - u = -2i sin(pi h) e^(pi i h), the
+      first is 4 a^2 sin^2(pi h) = N.  Then 2 a sin(pi h)/sqrt(N) = +-1,
+      tr*det = +-i t^3 e^(3 pi i h), and the second is
+      -c/8 - 1/4 + 3h/2 + [a sin(pi h) < 0]/2 in Z.
+    - 4 sin^2(pi h) is 2 for h in 1/4 + Z/2, 3 - phi for h = +-1/5 and
+      2 + phi for h = +-2/5 (mod 1); sin(pi h) < 0 iff floor(h) is odd.
+
+    An h whose denominator is not 4 or 5 raises ValueError.
     """
     h = h_ext(cat, c)
-    s = [[complex(v) for v in row] for row in cat.s_matrix_float()]
-    phase = cmath.exp(-2j * cmath.pi * float(c) / 24)
-    t = [[phase, 0j], [0j, phase * cmath.exp(2j * cmath.pi * float(h))]]
-    st = _mat_mul(s, t)
-    st3 = _mat_mul(_mat_mul(st, st), st)
-    s2 = _mat_mul(s, s)
-    return _max_dev_from_identity(s2) <= _REP_TOL and _max_dev_from_identity(st3) <= _REP_TOL
+    four_sin2 = _FOUR_SIN2.get(min(h % 1, -h % 1))
+    if four_sin2 is None:
+        raise ValueError(f"no exact sin^2(pi h) for h = {h}: its denominator is not 4 or 5")
+    (a, b), (b_t, e) = cat.s_num
+    # a has the sign of the larger of |a.a| and |a.b|*sqrt(5), which differ unless a = 0
+    a_negative = (a.a if a.a * a.a > 5 * a.b * a.b else a.b) < 0
+    negative = a_negative != (math.floor(h) % 2 == 1)
+    phase = -Fraction(c) / 8 - Fraction(1, 4) + 3 * h / 2 + Fraction(negative, 2)
+    return (_add(a, e) == _s(0) and _add(_mul(a, a), _mul(b, b_t)) == cat.s_norm
+            and _mul(_mul(a, a), four_sin2) == cat.s_norm and phase.denominator == 1)

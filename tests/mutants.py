@@ -117,6 +117,27 @@ MUTANTS = (
         'XI_ALPHA = word("0110 1100 1010 0000")\n_mask_lanes()\n',
         ("tests/test_package.py::test_cli_import_builds_no_reedmuller_table",),
     ),
+    Mutant(
+        "st-phase-without-quarter", "genus",
+        " - Fraction(1, 4) + 3 * h / 2",
+        " + 3 * h / 2",
+        ("tests/test_genus.py::test_modular_rep_check_on_catalog",
+         "tests/test_genus.py::test_modular_rep_check_agrees_with_the_float_reference_on_catalog"),
+    ),
+    Mutant(
+        "st-phase-3h-not-halved", "genus",
+        "+ 3 * h / 2 +",
+        "+ 3 * h +",
+        ("tests/test_genus.py::test_modular_rep_check_on_catalog",
+         "tests/test_genus.py::test_modular_rep_check_agrees_with_the_float_reference_on_catalog"),
+    ),
+    Mutant(
+        "sin2-phi-constants-swapped", "genus",
+        "Fraction(1, 5): _THREE_MINUS_PHI,\n              Fraction(2, 5): _TWO_PLUS_PHI}",
+        "Fraction(1, 5): _TWO_PLUS_PHI,\n              Fraction(2, 5): _THREE_MINUS_PHI}",
+        ("tests/test_genus.py::test_modular_rep_check_on_catalog",
+         "tests/test_genus.py::test_modular_rep_check_agrees_with_the_float_reference_on_catalog"),
+    ),
 )
 
 

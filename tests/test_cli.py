@@ -194,6 +194,26 @@ def test_a_closed_stdout_is_a_usage_error():
                                "Bad file descriptor\n")
 
 
+@pytest.mark.parametrize("argv", [("catalog",), ("catalog", "--check")])
+def test_a_closed_stderr_changes_neither_stdout_nor_exit_code(argv):
+    # the version line and the check verdict go to stderr and are lost
+    closed = subprocess.run(["sh", "-c", 'exec "$0" -m extremal2 "$@" 2>&-', sys.executable,
+                             *argv], stdout=subprocess.PIPE, timeout=300)
+    res = subprocess.run(PKG + list(argv), capture_output=True, timeout=300)
+    assert res.returncode == 0 and res.stdout
+    assert (closed.returncode, closed.stdout) == (res.returncode, res.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_an_out_that_opens_but_cannot_be_written_is_a_usage_error():
+    res = run_cli("catalog", "--out", "/dev/full")
+    assert (res.returncode, res.stdout) == (2, "")
+    errors = [line for line in res.stderr.splitlines() if "error:" in line]
+    assert errors == ["extremal2 catalog: error: cannot write --out /dev/full: "
+                      "No space left on device"]
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ("catalog", "--format", "csv"),
     ("bounds", "--table", "nmax-negative", "--check"),

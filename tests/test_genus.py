@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
 
 from extremal2.genus import (
     CATALOG,
+    Surd,
     category,
     ell_general,
     genus,
@@ -34,17 +37,22 @@ def test_catalog_rows():
         assert (cat.c_mod8, cat.h_mod1) == CATALOG_ROWS[cat.id]
 
 
+def q5_add(x: Surd, y: Surd) -> Surd:
+    return Surd(x.a + y.a, x.b + y.b)
+
+
+def q5_mul(x: Surd, y: Surd) -> Surd:
+    """The product in Q(sqrt 5) = Q[r]/(r^2 - 5)."""
+    return Surd(x.a * y.a + 5 * x.b * y.b, x.a * y.b + x.b * y.a)
+
+
 def test_s_matrices_symmetric_and_involutive():
+    """A = s_num is symmetric and A^2 = N*I exactly, so S = A/sqrt(N) has S^2 = I."""
     for cat in CATALOG:
-        s = cat.s_matrix_float()
-        assert abs(s[0][1] - s[1][0]) < 1e-15
-        sq = [
-            [sum(s[i][k] * s[k][j] for k in range(2)) for j in range(2)]
-            for i in range(2)
-        ]
-        for i in range(2):
-            for j in range(2):
-                assert abs(sq[i][j] - (1.0 if i == j else 0.0)) < 1e-12
+        a, n, zero = cat.s_num, cat.s_norm, Surd(F(0))
+        square = [[q5_add(q5_mul(a[i][0], a[0][j]), q5_mul(a[i][1], a[1][j]))
+                   for j in range(2)] for i in range(2)]
+        assert a[0][1] == a[1][0] and square == [[n, zero], [zero, n]], cat.id
 
 
 def test_category_lookup_rejects_unknown_ids():
@@ -124,3 +132,63 @@ def test_modular_rep_check_on_catalog():
 def test_modular_rep_check_rejects_inadmissible():
     with pytest.raises(ValueError, match="class mod 8"):
         modular_rep_check(category("semion"), 2)
+
+
+def float_rep_check(cat, c) -> bool:
+    """Reference for modular_rep_check: S^2 = I and (S T)^3 = I evaluated in
+    complex floats, entrywise to within 1e-12, as the package once did."""
+    def value(x: Surd) -> float:
+        return float(x.a) + float(x.b) * math.sqrt(5)
+
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+    def near_identity(m) -> bool:
+        return all(abs(m[i][j] - (i == j)) <= 1e-12 for i in range(2) for j in range(2))
+
+    scale = 1 / math.sqrt(value(cat.s_norm))
+    s = [[value(x) * scale for x in row] for row in cat.s_num]
+    phase = cmath.exp(-2j * cmath.pi * float(c) / 24)
+    t = [[phase, 0], [0, phase * cmath.exp(2j * cmath.pi * float(h_ext(cat, c)))]]
+    st = mul(s, t)
+    return near_identity(mul(s, s)) and near_identity(mul(mul(st, st), st))
+
+
+def perturbed_rows():
+    """(label, row): catalog rows with one datum broken, none of them modular."""
+    s_data = {(cat.s_num, cat.s_norm) for cat in CATALOG}
+    for cat in CATALOG:
+        (a, b), (b_t, e) = cat.s_num
+        for shift in (1, 2, 4, -1):
+            yield f"{cat.id}: c_mod8 {shift:+}", cat._replace(c_mod8=cat.c_mod8 + shift)
+        yield f"{cat.id}: diagonal sign", cat._replace(
+            s_num=((Surd(-a.a, -a.b), b), (b_t, Surd(-e.a, -e.b))))
+        yield f"{cat.id}: norm + 1", cat._replace(
+            s_norm=Surd(cat.s_norm.a + 1, cat.s_norm.b))
+        yield f"{cat.id}: one off-diagonal sign", cat._replace(
+            s_num=((a, b), (Surd(-b_t.a, -b_t.b), e)))
+        for s_num, s_norm in sorted(s_data - {(cat.s_num, cat.s_norm)}):
+            yield f"{cat.id}: S of {s_num}", cat._replace(s_num=s_num, s_norm=s_norm)
+
+
+def test_modular_rep_check_agrees_with_the_float_reference_on_catalog():
+    for cat in CATALOG:
+        for k in range(-12, 13):
+            c = cat.c_mod8 + 8 * k
+            assert modular_rep_check(cat, c) is float_rep_check(cat, c) is True, (cat.id, c)
+
+
+def test_modular_rep_check_rejects_every_perturbed_row():
+    rows = list(perturbed_rows())
+    assert len(rows) == 80
+    for label, row in rows:
+        for k in range(-3, 4):
+            c = row.c_mod8 + 8 * k
+            assert modular_rep_check(row, c) is float_rep_check(row, c) is False, (label, c)
+
+
+def test_modular_rep_check_needs_weight_denominator_4_or_5():
+    semion = category("semion")
+    for h_mod1 in (F(1, 3), F(1, 2), F(3, 10)):
+        with pytest.raises(ValueError, match="not 4 or 5"):
+            modular_rep_check(semion._replace(h_mod1=h_mod1), 1)

@@ -117,8 +117,8 @@ def float_uses(tree: ast.AST) -> list[str]:
     return found
 
 
-def test_floats_appear_only_in_genus():
-    """The README promises floats in exactly one place: the modular S/T check."""
-    with_floats = {path.name for path in sorted(PACKAGE.glob("*.py"))
-                   if float_uses(ast.parse(path.read_text(), str(path)))}
-    assert with_floats == {"genus.py"}
+def test_no_module_uses_floats():
+    """The README promises that no float appears anywhere in the package."""
+    with_floats = {path.name: uses for path in sorted(PACKAGE.glob("*.py"))
+                   if (uses := float_uses(ast.parse(path.read_text(), str(path))))}
+    assert with_floats == {}

@@ -67,8 +67,8 @@ def test_equal_records_hash_equal(name):
 
 
 def test_defaults_and_repr_format():
-    assert Surd(Fraction(2)) == Surd(Fraction(2), Fraction(0), 1)
-    assert repr(Surd(Fraction(2))) == "Surd(a=Fraction(2, 1), b=Fraction(0, 1), d=1)"
+    assert Surd(Fraction(2)) == Surd(Fraction(2), Fraction(0))
+    assert repr(Surd(Fraction(2))) == "Surd(a=Fraction(2, 1), b=Fraction(0, 1))"
     assert repr(CharMatrix(1, 0, 0, 1)) == (
         "CharMatrix(x=Fraction(1, 1), y=Fraction(0, 1), z=Fraction(0, 1), w=Fraction(1, 1))"
     )

@@ -46,20 +46,21 @@ SERIES_ORDER = 8
 def candidates(
     cat: CategoryInfo | str,
 ) -> list[tuple[Fraction, CharMatrix, Fraction]]:
-    """All (c, chi, h_ext) with c_min <= c <= c_max, ascending in c."""
+    """All (c, chi, h_ext) with c_min <= c <= c_max, ascending in c.
+
+    Every seed lies inside its window, so each class walks out from its seed
+    row in both directions: one recurrence step per further candidate."""
     cat = category(cat)
     c_min, c_max = c_extremes(cat)
-    found: list[tuple[Fraction, CharMatrix, Fraction]] = []
-    for c0, m0, h0 in seed_rows(cat):
-        # walk down to the bottom of the window, then sweep upward
-        c, m, h = c0, m0, h0
-        while c - 24 >= c_min:
-            m, h = iterate(m, h, -1)
-            c -= 24
-        while c <= c_max:
-            found.append((c, m, h))
-            m, h = iterate(m, h, 1)
-            c += 24
+    found = []
+    for seed in seed_rows(cat):
+        found.append(seed)
+        for step in (-1, 1):
+            c, m, h = seed
+            while c_min <= c + 24 * step <= c_max:
+                m, h = iterate(m, h, step)
+                c += 24 * step
+                found.append((c, m, h))
     found.sort(key=lambda row: row[0])
     return found
 

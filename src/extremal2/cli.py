@@ -24,7 +24,7 @@ from typing import NoReturn
 from . import __version__, bounds, classify
 from .charser import character_vector, expand
 from .chimat import CharMatrix, chi_of
-from .genus import CATALOG, category, genus
+from .genus import CATALOG, Surd, category, genus, modular_rep_check
 from .reedmuller import (
     lemma6_scan,
     min_weight_rm46,
@@ -41,8 +41,9 @@ EXIT_USAGE = 2
 
 def _encode(value):
     """JSON-ready form of ``value``: rationals as canonical ``p/q`` strings,
-    characteristic matrices as their four entries, through lists and dicts."""
-    if isinstance(value, Fraction):
+    elements of Q(sqrt 5) as ``a+b*sqrt(5)``, characteristic matrices as their
+    four entries, through lists and dicts."""
+    if isinstance(value, (Fraction, Surd)):  # before tuples: a Surd is a NamedTuple
         return str(value)
     if isinstance(value, CharMatrix):
         return value.to_json()
@@ -58,20 +59,11 @@ def _encode(value):
 
 
 def catalog_data() -> list[dict]:
-    rows = []
-    for cat in CATALOG:
-        rows.append(
-            {
-                "id": cat.id,
-                "c_mod8": str(cat.c_mod8),
-                "h_mod1": str(cat.h_mod1),
-                "s_matrix": {
-                    "num": [[str(e) for e in row] for row in cat.s_num],
-                    "sqrt_norm": str(cat.s_norm),
-                },
-            }
-        )
-    return rows
+    return _encode([
+        {"id": cat.id, "c_mod8": cat.c_mod8, "h_mod1": cat.h_mod1,
+         "s_matrix": {"num": cat.s_num, "sqrt_norm": cat.s_norm}}
+        for cat in CATALOG
+    ])
 
 
 def bounds_data(table: str, only: str | None = None) -> list[dict]:
@@ -264,6 +256,13 @@ def _verdict(ok: bool, fixture_name: str) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
+def _certified(doc: dict) -> bool:
+    """The ``rm verify`` document certifies the c = 33 construction: every
+    boolean in it holds, RM(4,6) has minimum weight 4 and the top weight is 7/4."""
+    flags = [v for v in (*doc.values(), *doc["xi_conditions"].values()) if isinstance(v, bool)]
+    return all(flags) and doc["rm46_min_weight"] == 4 and doc["top_weight"] == "7/4"
+
+
 def _check_against(data, fixture_name: str, only: str | None = None) -> int:
     """Compare ``data`` with a fixture: a table with its ``rows`` (those of
     category ``only`` when given), a document whole."""
@@ -398,14 +397,21 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         args.subparser.error(str(exc))
 
-    md = fixture = None
+    # catalog, classify and rm verify check their own result, in every format
+    # and with or without --check; ``failure`` says what is wrong with it
+    md = fixture = failure = None
     if args.command == "catalog":
         data, fixture = catalog_data(), "catalog.json"
+        bad = [cat.id for cat in CATALOG if not modular_rep_check(cat, cat.c_mod8)]
+        if bad:
+            failure = f"modular S/T check fails for {', '.join(bad)}"
     elif args.command == "bounds":
         data, fixture = bounds_data(args.table, only), _BOUNDS_FIXTURES[args.table]
     elif args.command == "classify":
         rows = classify.classify_all()
         data, fixture = classify_data(rows, only), "classify.json"
+        if not classify.matches_golden(rows):
+            failure = "classification differs from the embedded golden table"
     elif args.command == "character":
         try:
             data, md = character_data(only, args.c, args.order), _render_character_md
@@ -415,11 +421,12 @@ def main(argv: list[str] | None = None) -> int:
         data = chi_data(only, args.c)
     else:
         data, md, fixture = rm_data(), _render_rm_md, "rm_verify.json"
+        if not _certified(data):
+            failure = "the binary-code certificate does not hold"
     _emit(_render(data, args.format, md), args.out, args.subparser)
 
-    # the full classification always self-verifies against the embedded table
-    if args.command == "classify" and not classify.matches_golden(rows):
-        _note("classification differs from the embedded golden table")
+    if failure:
+        _note(failure)
         return EXIT_MISMATCH
     if not getattr(args, "check", False):
         return EXIT_OK

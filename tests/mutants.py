@@ -138,6 +138,35 @@ MUTANTS = (
         ("tests/test_genus.py::test_modular_rep_check_on_catalog",
          "tests/test_genus.py::test_modular_rep_check_agrees_with_the_float_reference_on_catalog"),
     ),
+    Mutant(
+        "outward-walk-strict-lower-bound", "classify",
+        "while c_min <= c + 24 * step <= c_max:",
+        "while c_min < c + 24 * step <= c_max:",
+        ("tests/test_classify.py::test_candidate_charges_for_semion",
+         "tests/test_classify.py::test_candidates_take_one_recurrence_step_per_row_beyond_the_seeds"),
+    ),
+    Mutant(
+        "words-from-basis", "reedmuller",
+        "return frozenset(self.codewords())",
+        "return frozenset(self.basis)",
+        ("tests/test_reedmuller.py::test_words_is_the_span_and_agrees_with_membership",
+         "tests/test_reedmuller.py::test_weight_enumerators",
+         "tests/test_reedmuller.py::test_lemma5_on_construction_word",
+         "tests/test_cli.py::test_rm_verify_check_and_md"),
+    ),
+    Mutant(
+        "catalog-self-check-dropped", "cli",
+        'failure = f"modular S/T check fails',
+        '_ = f"modular S/T check fails',
+        ("tests/test_cli.py::test_catalog_exits_1_on_a_row_that_fails_the_st_check",),
+    ),
+    Mutant(
+        "rm-self-check-dropped", "cli",
+        'failure = "the binary-code certificate does not hold"',
+        '_ = "the binary-code certificate does not hold"',
+        ("tests/test_cli.py::test_rm_verify_exits_1_on_a_failing_certificate[min-weight-3]",
+         "tests/test_cli.py::test_rm_verify_exits_1_on_a_failing_certificate[top-weight-27-16]"),
+    ),
 )
 
 

@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+import extremal2.classify as classify_mod
 from extremal2.bounds import c_extremes
 from extremal2.charser import character_vector, expand
 from extremal2.chimat import CharMatrix, chi_of, iterate
@@ -42,6 +43,25 @@ def test_chi_of_rejects_a_walk_that_misses_h_ext(monkeypatch):
 def test_candidate_charges_for_semion():
     cs = {c for c, _, _ in candidates("semion")}
     assert cs == {-23, 1, 25, 49, -15, 9, 33, 57, -7, 17, 41}
+
+
+def test_candidates_take_one_recurrence_step_per_row_beyond_the_seeds(monkeypatch):
+    """Each class walks out from its seed, which lies in its window, so the
+    74 rows of the 8 categories cost 74 - 24 = 50 steps; every c of the
+    window comes once, ascending, with the matrix ``chi_of`` reaches there."""
+    steps = []
+    monkeypatch.setattr(classify_mod, "iterate",
+                        lambda m, h, n: steps.append(n) or iterate(m, h, n))
+    rows = [(cat.id, c, m, h) for cat in CATALOG for c, m, h in candidates(cat)]
+    assert len(steps) == 50
+    expected = []
+    for cat in CATALOG:
+        c, c_max = c_extremes(cat)
+        while c <= c_max:
+            expected.append((cat.id, c, chi_of(cat, c), genus(cat, c).h_ext))
+            c += 8
+    assert len(expected) == 74
+    assert rows == expected
 
 
 def test_candidates_stay_in_window_and_cover_all_classes():

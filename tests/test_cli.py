@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from extremal2 import classify, cli
 from extremal2.chimat import CharMatrix, alpha_beta, g_closed, k_closed, seed_rows
-from extremal2.genus import CATALOG
+from extremal2.genus import CATALOG, Surd
 
 PKG = [sys.executable, "-m", "extremal2"]
 # Stdout digests of the seed commit, kept with the benchmark (read only here).
@@ -259,6 +259,9 @@ def test_encode_keeps_a_charmatrix_a_dict():
     m = CharMatrix(3, 26752, 2, -247)
     assert cli._encode(m) == {"x": "3", "y": "26752", "z": "2", "w": "-247"}
     assert cli._encode([m, (Fraction(1, 2),)]) == [m.to_json(), ["1/2"]]
+    # so is a Surd, which prints as one string
+    phi = Surd(Fraction(1, 2), Fraction(1, 2))
+    assert cli._encode({"s": [phi, Surd(Fraction(-1))]}) == {"s": ["1/2+1/2*sqrt(5)", "-1"]}
 
 
 def test_chi_subcommand_negative_charge():
@@ -295,6 +298,32 @@ def test_rm_verify_check_and_md():
     assert res.stdout.encode() == (GOLDEN / "rm_verify.md").read_bytes()
 
 
+@pytest.mark.parametrize("name, tamper", [
+    ("min_weight_rm46", lambda found: (3, found[1])),
+    ("lemma6_scan", lambda report: report._replace(all_cosets_match=False)),
+    ("verify_theorem1_xi",
+     lambda cert: cert._replace(conditions=cert.conditions._replace(cond_iv=False))),
+    ("verify_theorem1_xi", lambda cert: cert._replace(top_weight=Fraction(27, 16))),
+], ids=["min-weight-3", "cosets-differ", "condition-iv-false", "top-weight-27-16"])
+def test_rm_verify_exits_1_on_a_failing_certificate(name, tamper, monkeypatch, capsys):
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda: tamper(real()))
+    assert cli.main(["rm", "verify"]) == 1
+    out, err = capsys.readouterr()
+    assert err.splitlines()[1:] == ["the binary-code certificate does not hold"]
+    # stdout is the document as computed, the failing entry included
+    assert json.loads(out)["xi"] == fixture("rm_verify.json")["xi"]
+
+
+def test_catalog_exits_1_on_a_row_that_fails_the_st_check(monkeypatch, capsys):
+    semion = CATALOG[0]
+    monkeypatch.setattr(cli, "CATALOG", (semion._replace(c_mod8=Fraction(2)), *CATALOG[1:]))
+    assert cli.main(["catalog", "--format", "csv"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1].startswith("semion,2,1/4,")
+    assert err.splitlines()[1:] == ["modular S/T check fails for semion"]
+
+
 def test_out_writes_file(tmp_path):
     target = tmp_path / "catalog.json"
     res = run_cli("catalog", "--out", str(target))
@@ -320,9 +349,9 @@ def test_classify_per_category_exits_0_even_when_empty(cat, fmt, classify_calls)
 
 def test_tables_reproduce_the_seed_digests(classify_calls):
     outputs = json.loads(EXPECTED.read_text())["outputs"]
-    keys = [key for key in outputs
-            if key.split()[0] in ("catalog", "bounds") or key.startswith("classify --format")]
-    assert len(keys) == 3 + 33 + 3
+    keys = [key for key in outputs if key.split()[0] in ("catalog", "bounds", "rm")
+            or key.startswith("classify --format")]
+    assert len(keys) == 3 + 33 + 3 + 2
     for key in keys:
         for check in ([], ["--check"]) if key.startswith("classify") else ([],):
             rc, out = run_main(*key.split(), *check)

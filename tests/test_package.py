@@ -122,3 +122,29 @@ def test_no_module_uses_floats():
     with_floats = {path.name: uses for path in sorted(PACKAGE.glob("*.py"))
                    if (uses := float_uses(ast.parse(path.read_text(), str(path))))}
     assert with_floats == {}
+
+
+def unread_private_names(tree: ast.Module) -> list[str]:
+    """Top-level private names (``_x``, not dunders) of a module that no other
+    top-level statement of it reads."""
+    unread = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        read = {n.id for other in tree.body if other is not node for n in ast.walk(other)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [name for name in names
+                   if name.startswith("_") and not name.startswith("__") and name not in read]
+    return unread
+
+
+def test_every_private_helper_has_a_caller_in_its_module():
+    """A private helper that only tests call is dead code in the package."""
+    unread = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+              if (names := unread_private_names(ast.parse(path.read_text(), str(path))))}
+    assert unread == {}

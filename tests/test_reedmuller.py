@@ -157,6 +157,17 @@ def test_rm16_is_triply_even():
 def test_enumeration_guard_for_large_codes():
     with pytest.raises(ValueError, match="enumeration infeasible"):
         weight_enumerator(rm_codes().rm46)
+    with pytest.raises(ValueError, match="enumeration infeasible"):
+        rm_codes().rm46.words
+
+
+def test_words_is_the_span_and_agrees_with_membership():
+    codes = rm_codes()
+    for code in (codes.rm14, codes.rm24, codes.rm16):
+        assert code.words == frozenset(code.codewords())
+        assert len(code.words) == 2**code.dim
+    # every 16-bit word is in RM(2,4).words iff row reduction clears it
+    assert all((w in codes.rm24.words) == (w in codes.rm24) for w in range(1 << 16))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +346,7 @@ def test_lemma5_and_cosets_match_the_product_by_product_oracle():
         report = lemma5_check(xi)
         subcode_ok, doubly_even_ok, cosets = lemma5_oracle(xi)
         assert (report.subcode_ok, report.doubly_even_ok) == (subcode_ok, doubly_even_ok)
-        assert list(reedmuller._coset_enumerator(xi).items()) == cosets
+        assert list(reedmuller._lane_weights(reedmuller._lemma5(xi)[1]).items()) == cosets
         verdicts.add((subcode_ok, doubly_even_ok))
     # the sample reaches every outcome: fails the subcode test, is a
     # subcode but not doubly even, and passes both

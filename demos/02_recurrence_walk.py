@@ -28,12 +28,12 @@ print(f"c = {c + 144}: chi_00 = {far.x}")
 assert iterate(far, h_far, -6) == (chi, h)
 
 # the diagonal shortcut used for the positive-side bound
-from extremal2.chimat import g_closed, g_step
+from extremal2.chimat import g_closed
 
-state = (chi.x, chi.w, h)
+state, h_state = chi, h
 for n in range(4):
-    assert g_closed(chi.x, chi.w, h, n) == state
-    state = g_step(*state)
+    assert g_closed(chi.x, chi.w, h, n) == (state.x, state.w, h_state)
+    state, h_state = f_plus(state, h_state)
 print("closed-form diagonal iterate matches stepping, n <= 3:",
       g_closed(chi.x, chi.w, h, 3))
 

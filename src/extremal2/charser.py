@@ -18,8 +18,9 @@ is chi itself exactly when a_1 = 0 and b_1 = 1; every expansion checks that
 X[0] = chi and raises ``ValueError`` when it fails.
 
 The module also carries the coset/extension character data for the c = 33
-construction and the series-sum checks over them.  A character component
-there is a pair ``(offset, coeffs)`` standing for
+construction, the check that its two integer-weight coset components sum
+to the extension character, and the branching diagnostic.  A character
+component there is a pair ``(offset, coeffs)`` standing for
 sum_k coeffs[k] q^(offset + k), known exactly for k < len(coeffs).
 """
 
@@ -38,7 +39,6 @@ __all__ = [
     "CharacterVector",
     "expand",
     "character_vector",
-    "holomorphic_sum_check",
     "COSET_CHARACTER",
     "EXTENSION_CHARACTER",
     "coset_extension_sum_check",
@@ -192,22 +192,6 @@ def _mismatches(a: Component, b: Component) -> list[tuple[int, Fraction, Fractio
     return [(n, u, v) for n, (u, v) in enumerate(zip(x, y)) if u != v]
 
 
-def holomorphic_sum_check(parts: list[Component], target: Component) -> bool:
-    """Whether the coefficient-wise sum of ``parts`` equals ``target``.
-
-    Parts must have exponents compatible with each other and with the
-    target (integer differences); comparison runs through the
-    jointly-trusted coefficient window.  An empty sum matches a zero
-    target.
-    """
-    if not parts:
-        return not any(target[1])
-    total = parts[0]
-    for p in parts[1:]:
-        total = _series_sum(total, p)
-    return not _mismatches(total, target)
-
-
 # Character vector of the weight-one coset inside the c = 33 realization:
 # four components with weights 0, 9/4, 7/4, 2 over the global q^(-32/24).
 COSET_CHARACTER: tuple[Component, ...] = (
@@ -223,10 +207,10 @@ EXTENSION_CHARACTER: Component = (Fraction(-4, 3), (1, 0, 139504, 69332992))
 
 
 def coset_extension_sum_check() -> bool:
-    """Integer-weight coset components must sum to the extension character."""
-    return holomorphic_sum_check(
-        [COSET_CHARACTER[0], COSET_CHARACTER[3]], EXTENSION_CHARACTER
-    )
+    """Whether the integer-weight coset components (weights 0 and 2) sum to
+    the extension character through the window all three share."""
+    return not _mismatches(_series_sum(COSET_CHARACTER[0], COSET_CHARACTER[3]),
+                           EXTENSION_CHARACTER)
 
 
 class BranchingDiagnostic(NamedTuple):

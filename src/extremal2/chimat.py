@@ -3,10 +3,11 @@
 A characteristic matrix chi holds the constant terms of the fundamental
 matrix of a genus; its first column is (dim V(1), dim M(h)) for any VOA
 realizing the genus.  ``f_plus``/``f_minus`` advance (chi, h) one step of
-24 in the central charge, exactly and invertibly.  ``g_step``/``g_closed``
-are the diagonal restriction of f_plus (enough to control chi_00 for large
-positive c), and ``k_step``/``k_closed`` evolve the reduced pair
-(alpha, beta) = (chi_00 - chi_11, chi_10 * chi_01) under c -> c - 24.
+24 in the central charge, exactly and invertibly.  ``g_closed`` is the
+n-fold iterate of the diagonal restriction g of f_plus (enough to control
+chi_00 for large positive c), and ``k_closed`` the n-fold iterate of the
+map k that evolves the reduced pair (alpha, beta) = (chi_00 - chi_11,
+chi_10 * chi_01) under c -> c - 24; their n = 1 cases are g and k.
 
 ``seed`` hands out exact characteristic matrices for one representative of
 each of the three admissible classes of c mod 24 per category; all other
@@ -28,10 +29,8 @@ __all__ = [
     "f_plus",
     "f_minus",
     "iterate",
-    "g_step",
     "g_closed",
     "alpha_beta",
-    "k_step",
     "k_closed",
     "seed",
     "seed_rows",
@@ -139,17 +138,10 @@ def iterate(m: CharMatrix, h: Fraction, steps: int) -> tuple[CharMatrix, Fractio
     return m, h
 
 
-def g_step(x: Fraction, w: Fraction, h: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Diagonal restriction of f_plus: one c -> c + 24 step on (chi00, chi11)."""
-    h = _require_noninteger(h)
-    x, w = Fraction(x), Fraction(w)
-    return ((w + h * (x - 240)) / (h + 1), (x + h * (w + 240)) / (h + 1), h + 2)
-
-
 def g_closed(
     x: Fraction, w: Fraction, h: Fraction, n: int
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """Closed form of the n-fold iterate of g_step (n >= 0)."""
+    """The diagonal (chi00, chi11) after n >= 0 f_plus steps c -> c + 24, in closed form."""
     if n < 0:
         raise ValueError("n must be non-negative")
     h = _require_noninteger(h)
@@ -167,19 +159,8 @@ def alpha_beta(m: CharMatrix) -> AlphaBeta:
     return AlphaBeta(m.x - m.w, m.z * m.y)
 
 
-def k_step(ab: AlphaBeta, h: Fraction) -> tuple[AlphaBeta, Fraction]:
-    """One c -> c - 24 step on the reduced pair (alpha, beta)."""
-    h = _require_noninteger(h)
-    a, b = ab.alpha, ab.beta
-    a2 = (a * (h - 1) + 480 * (h - 2)) / (h - 3)
-    b2 = ((h - 3) ** 2 * (h * b - 746496) + (a + 120 * (h - 1)) ** 2) / (
-        (h - 4) * (h - 3) ** 2
-    )
-    return AlphaBeta(a2, b2), h - 2
-
-
 def k_closed(ab: AlphaBeta, h: Fraction, n: int) -> tuple[AlphaBeta, Fraction]:
-    """Closed form of the n-fold iterate of k_step (n >= 0)."""
+    """The pair (alpha, beta) after n >= 0 f_minus steps c -> c - 24, in closed form."""
     if n < 0:
         raise ValueError("n must be non-negative")
     h = _require_noninteger(h)

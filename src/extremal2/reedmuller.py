@@ -212,11 +212,6 @@ def rm_codes() -> RMCodes:
 
 
 @lru_cache(maxsize=1)
-def _rm16_words() -> tuple[int, ...]:
-    return tuple(rm_codes().rm16.codewords())
-
-
-@lru_cache(maxsize=1)
 def _mask_lanes() -> tuple[tuple[tuple[int, ...], ...], int, int, int]:
     """Weights packed one 8-bit lane per mask m_k, the 485 distinct g & h (g
     in RM(1,6), h in its basis), with the 128 words g first (the basis holds
@@ -224,8 +219,8 @@ def _mask_lanes() -> tuple[tuple[tuple[int, ...], ...], int, int, int]:
     so the 8 lookups of a word's bytes sum to the lanes wt(xi ^ m_k).  Also
     the lanes wt(m_k) (the sum of the entries 0), ONES (a 1 in every lane)
     and the mask of the g lanes."""
-    words = _rm16_words()
-    masks = dict.fromkeys([*words, *(g & h for g in words for h in rm_codes().rm16.basis)])
+    rm16 = rm_codes().rm16
+    masks = dict.fromkeys([*rm16.words, *(g & h for g in rm16.words for h in rm16.basis)])
     ones = int.from_bytes(bytes([1] * len(masks)), "little")
     weight = bytes(x.bit_count() for x in range(256))
     bits = [bytes(x >> b & 1 for x in range(256)) for b in range(8)]
@@ -237,7 +232,7 @@ def _mask_lanes() -> tuple[tuple[tuple[int, ...], ...], int, int, int]:
             has_bit = int.from_bytes(column.translate(bit), "little")
             table += [t + ones - 2 * has_bit for t in table]  # +1 where m_k has a 0
         tables.append(tuple(table))
-    return tuple(tables), sum(table[0] for table in tables), ones, (1 << 8 * len(words)) - 1
+    return tuple(tables), sum(table[0] for table in tables), ones, (1 << 8 * len(rm16.words)) - 1
 
 
 @lru_cache(maxsize=1)
@@ -358,7 +353,7 @@ def lemma5_check(xi: int) -> Lemma5Report:
 
 def _lane_weights(lanes: int) -> dict[int, int]:
     """How many lanes hold each weight, ascending in weight."""
-    data = lanes.to_bytes(len(_rm16_words()), "little")
+    data = lanes.to_bytes(len(rm_codes().rm16.words), "little")
     return {w: data.count(w) for w in sorted(set(data))}
 
 
@@ -376,7 +371,7 @@ def lemma6_scan() -> Lemma6Report:
     differing = None  # the first coset enumerator other than 64 x^28 + 64 x^36
     count = 0
     conditions_ok = True
-    for alpha in rm_codes().rm24.codewords():
+    for alpha in rm_codes().rm24.words:
         if alpha.bit_count() != 6:
             continue
         count += 1
@@ -392,7 +387,7 @@ def lemma6_scan() -> Lemma6Report:
             conditions_ok = False
         if differing is None:
             # 64 lanes of 28 and 64 of 36 fill all 128: the enumerator matches
-            data = lanes.to_bytes(len(_rm16_words()), "little")
+            data = lanes.to_bytes(len(rm_codes().rm16.words), "little")
             if data.count(28) != 64 or data.count(36) != 64:
                 differing = _lane_weights(lanes)
     matches = differing is None

@@ -12,7 +12,7 @@ The mutants themselves run on demand, not in the test suite:
     python tests/mutants.py NAME ...   # the named ones
 
 Each mutant is applied alone to a temporary copy of ``src/``, ``tests/``,
-``demos/`` and ``perfbench/``, and its tests run there.  It is killed when
+``demos/``, ``perfbench/`` and ``README.md``, and its tests run there.  It is killed when
 every listed test fails; the exit status is 1 if any mutant survived.
 """
 
@@ -95,7 +95,36 @@ MUTANTS = (
         "    a, b = ode_series(order + 2)\n    a[2] += 1\n",
         ("tests/test_charser.py::test_expansion_matches_schoolbook_d_matrices_on_every_candidate",
          "tests/test_charser.py::test_every_printed_character_coefficient",
-         "tests/test_cli.py::test_character_check_compares_the_terms_both_sides_have"),
+         "tests/test_cli.py::test_character_check_compares_the_terms_both_sides_have",
+         "tests/test_mlde.py::test_mlde_matches_expand_on_every_window_candidate"),
+    ),
+    Mutant(
+        "chi10-off-by-one-in-expand", "charser",
+        "chi = ((m.x, m.y), (m.z, m.w))",
+        "chi = ((m.x, m.y), (m.z + 1, m.w))",
+        ("tests/test_mlde.py::test_mlde_matches_expand_on_every_window_candidate",
+         "tests/test_mlde.py::test_mlde_matches_expand_on_walk_genera",
+         "tests/test_charser.py::test_expansion_matches_schoolbook_d_matrices_on_every_candidate"),
+    ),
+    Mutant(
+        "g-closed-denominator-shifted", "chimat",
+        "den = h + 2 * n - 1",
+        "den = h + 2 * n + 1",
+        ("tests/test_chimat.py::test_g_step_example",
+         "tests/test_chimat.py::test_g_matches_diagonal_of_f_plus",
+         "tests/test_chimat.py::test_g_closed_identity_and_composition",
+         "tests/test_chimat.py::test_g_closed_is_the_iterated_step",
+         "tests/test_acceptance.py::test_criterion_05_recurrence_properties"),
+    ),
+    Mutant(
+        "k-closed-alpha-term-shifted", "chimat",
+        "480 * n * (h - n - 1)",
+        "480 * n * (h - n)",
+        ("tests/test_chimat.py::test_k_step_example",
+         "tests/test_chimat.py::test_k_step_matches_alpha_beta_of_f_minus",
+         "tests/test_chimat.py::test_k_closed_identity_and_composition",
+         "tests/test_chimat.py::test_k_closed_is_the_iterated_step",
+         "tests/test_acceptance.py::test_criterion_05_recurrence_properties"),
     ),
     Mutant(
         "c-max-one-step-low", "bounds",
@@ -177,7 +206,8 @@ def still_passing(mutant: Mutant) -> list[str]:
         for part in ("src", "tests", "demos", "perfbench"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", copy)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, copy)
         path = copy / "src" / "extremal2" / f"{mutant.module}.py"
         path.write_text(path.read_text().replace(mutant.snippet, mutant.replacement))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))

@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from extremal2 import charser
 from extremal2.charser import (
     COSET_CHARACTER,
     EXTENSION_CHARACTER,
+    _mismatches,
     _series_product,
     _series_sum,
     branching_diagnostic,
     character_vector,
     coset_extension_sum_check,
     expand,
-    holomorphic_sum_check,
 )
 from extremal2.chimat import CharMatrix, chi_of, f_plus, seed_rows
 from extremal2.classify import candidates, classify_all
@@ -248,7 +249,7 @@ def test_offset_series_alignment_rules():
     with pytest.raises(ValueError, match="incompatible exponents"):
         _series_sum(a, bad)
     with pytest.raises(ValueError, match="incompatible exponents"):
-        holomorphic_sum_check([bad], a)
+        _mismatches(bad, a)
 
 
 def test_character_vector_component_pairs():
@@ -302,17 +303,20 @@ def test_holomorphic_sum_check_printed_values():
     assert coset0[3] + coset2[1] == 69332992
     assert 34668544 + 34664448 == 69332992
     assert coset_extension_sum_check()
-    assert holomorphic_sum_check(
-        [COSET_CHARACTER[0], COSET_CHARACTER[3]], EXTENSION_CHARACTER
-    )
+    # the weight-2 component ends where the vacuum component does, so the
+    # sum covers the whole extension window
+    assert _series_sum(COSET_CHARACTER[0], COSET_CHARACTER[3]) == EXTENSION_CHARACTER
 
 
-def test_holomorphic_sum_check_empty_and_mismatch():
-    zero_target = (F(0), (0, 0, 0))
-    assert holomorphic_sum_check([], zero_target)
-    assert not holomorphic_sum_check([], (F(0), (0, 1)))
+def test_mismatches_and_a_failing_coset_sum(monkeypatch):
     wrong = (F(-4, 3), (2,))
-    assert not holomorphic_sum_check([wrong], EXTENSION_CHARACTER)
+    assert _mismatches(wrong, EXTENSION_CHARACTER) == [(0, 2, 1)]
+    # powers count from the lower offset; the later window is padded with zeros
+    assert _mismatches((F(-1, 3), (0, 7)), EXTENSION_CHARACTER) == [(0, 0, 1), (2, 7, 139504)]
+    assert _mismatches(EXTENSION_CHARACTER, EXTENSION_CHARACTER) == []
+    bumped = (COSET_CHARACTER[3][0], (69888, 34664449))
+    monkeypatch.setattr(charser, "COSET_CHARACTER", COSET_CHARACTER[:3] + (bumped,))
+    assert not coset_extension_sum_check()
 
 
 def test_branching_diagnostic_reports_documented_mismatch():

@@ -15,10 +15,8 @@ from extremal2.chimat import (
     f_minus,
     f_plus,
     g_closed,
-    g_step,
     iterate,
     k_closed,
-    k_step,
     seed,
     seed_rows,
 )
@@ -93,9 +91,9 @@ def test_integer_h_rejected():
         with pytest.raises(ValueError, match="integer"):
             fn(m, F(3))
     with pytest.raises(ValueError, match="integer"):
-        g_step(1, 1, F(-1))
+        g_closed(1, 1, F(-1), 1)
     with pytest.raises(ValueError, match="integer"):
-        k_step(AlphaBeta(F(1), F(1)), F(4))
+        k_closed(AlphaBeta(F(1), F(1)), F(4), 1)
 
 
 def test_iterate_identity_and_inverse_composition(rng):
@@ -111,29 +109,29 @@ def test_iterate_reaches_negative_table_row():
 
 
 def test_g_step_example():
-    assert g_step(F(3), F(-247), F(1, 4)) == (F(-245), F(1), F(9, 4))
+    assert g_closed(F(3), F(-247), F(1, 4), 1) == (F(-245), F(1), F(9, 4))
 
 
 def test_g_matches_diagonal_of_f_plus(rng):
     for _ in range(100):
         m = random_charmatrix(rng)
         h = random_noninteger_h(rng)
-        out, _ = f_plus(m, h)
-        gx, gw, _ = g_step(m.x, m.w, h)
-        assert (out.x, out.w) == (gx, gw)
+        out, h_out = f_plus(m, h)
+        assert g_closed(m.x, m.w, h, 1) == (out.x, out.w, h_out)
 
 
 def test_g_closed_identity_and_composition(rng):
+    """With the base case above, g_closed(n + 1) = g_closed(g_closed(n), 1)
+    makes g_closed(n) the n-fold diagonal of f_plus."""
     x, w, h = F(3), F(-247), F(1, 4)
     assert g_closed(x, w, h, 0) == (x, w, h)
-    assert g_closed(x, w, h, 2) == g_step(*g_step(x, w, h))
+    up, h_up = iterate(CharMatrix(3, 26752, 2, -247), h, 2)  # the diagonal is (x, w)
+    assert g_closed(x, w, h, 2) == (up.x, up.w, h_up)
     for _ in range(20):
         x, w = F(rng.randint(-99, 99), rng.randint(1, 9)), F(rng.randint(-99, 99))
         h = random_noninteger_h(rng)
-        state = (x, w, h)
-        for n in range(51):
-            assert g_closed(x, w, h, n) == state
-            state = g_step(*state)
+        for n in range(50):
+            assert g_closed(x, w, h, n + 1) == g_closed(*g_closed(x, w, h, n), 1)
 
 
 def test_alpha_beta_examples():
@@ -146,38 +144,34 @@ def test_alpha_beta_examples():
 
 
 def test_k_step_example():
-    ab, h = k_step(AlphaBeta(F(250), F(53504)), F(1, 4))
+    ab, h = k_closed(AlphaBeta(F(250), F(53504)), F(1, 4), 1)
     assert (ab.alpha, ab.beta, h) == (F(4110, 11), F(23546112, 121), F(-7, 4))
 
 
 def test_k_closed_identity_and_composition(rng):
+    """With the base case below, k_closed(n + 1) = k_closed(k_closed(n), 1)
+    makes k_closed(n) the n-fold alpha_beta of f_minus."""
     ab, h = AlphaBeta(F(250), F(53504)), F(1, 4)
     assert k_closed(ab, h, 0) == (ab, h)
-    three = (ab, h)
-    for _ in range(3):
-        three = k_step(*three)
-    assert k_closed(ab, h, 3) == three
+    down, h_down = iterate(CharMatrix(3, 26752, 2, -247), h, -3)  # alpha_beta is ab
+    assert k_closed(ab, h, 3) == (alpha_beta(down), h_down)
     for _ in range(20):
         ab = AlphaBeta(F(rng.randint(-99, 99), rng.randint(1, 9)), F(rng.randint(1, 99)))
         h = random_noninteger_h(rng)
-        state = (ab, h)
-        for n in range(51):
-            assert k_closed(ab, h, n) == state
-            state = k_step(*state)
+        for n in range(50):
+            assert k_closed(ab, h, n + 1) == k_closed(*k_closed(ab, h, n), 1)
 
 
 def test_k_step_matches_alpha_beta_of_f_minus(rng):
     for cat in CATALOG:
         for _, m, h in seed_rows(cat):
             down, h_down = f_minus(m, h)
-            ab, h_k = k_step(alpha_beta(m), h)
-            assert (alpha_beta(down), h_down) == (ab, h_k)
+            assert k_closed(alpha_beta(m), h, 1) == (alpha_beta(down), h_down)
     for _ in range(100):
         m = random_charmatrix(rng)
         h = random_noninteger_h(rng)
         down, h_down = f_minus(m, h)
-        ab, h_k = k_step(alpha_beta(m), h)
-        assert (alpha_beta(down), h_down) == (ab, h_k)
+        assert k_closed(alpha_beta(m), h, 1) == (alpha_beta(down), h_down)
 
 
 rationals = st.fractions(-1000, 1000, max_denominator=30)
@@ -190,11 +184,17 @@ def test_f_minus_inverts_f_plus(x, y, z, w, h):
     assert f_minus(*f_plus(m, h)) == (m, h)
 
 
+# The diagonal of f_plus reads only (chi00, chi11, h), and alpha_beta of
+# f_minus only (alpha, beta, h), so each step lifts its state to any matrix
+# with those entries and a nonzero off-diagonal entry where the map divides.
+
+
 @given(rationals, rationals, noninteger_h, st.integers(0, 6))
 def test_g_closed_is_the_iterated_step(x, w, h, n):
     state = (x, w, h)
     for _ in range(n):
-        state = g_step(*state)
+        up, h_up = f_plus(CharMatrix(state[0], 0, 1, state[1]), state[2])
+        state = (up.x, up.w, h_up)
     assert g_closed(x, w, h, n) == state
 
 
@@ -203,7 +203,8 @@ def test_k_closed_is_the_iterated_step(alpha, beta, h, n):
     ab = AlphaBeta(alpha, beta)
     state = (ab, h)
     for _ in range(n):
-        state = k_step(*state)
+        down, h_down = f_minus(CharMatrix(state[0].alpha, 1, state[0].beta, 0), state[1])
+        state = (alpha_beta(down), h_down)
     assert k_closed(ab, h, n) == state
 
 

@@ -3,10 +3,14 @@ the CLI loads every layer but nothing that slows start-up."""
 
 from __future__ import annotations
 
+import argparse
 import ast
+import builtins
 import importlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +93,22 @@ def test_cli_import_builds_no_reedmuller_table():
     assert set(sizes.values()) == {0}
 
 
+def test_rm_verify_enumerates_each_code_span_once():
+    """``rm verify`` reads every span through ``LinearCode.words``, so a request
+    enumerates RM(1,4), RM(2,4) and RM(1,6) (dimensions 5, 11, 7) once each."""
+    out = run_fresh(
+        "from extremal2 import cli, reedmuller\n"
+        "dims = []\n"
+        "codewords = reedmuller.LinearCode.codewords\n"
+        "def counted(code):\n"
+        "    dims.append(code.dim)\n"
+        "    return codewords(code)\n"
+        "reedmuller.LinearCode.codewords = counted\n"
+        "cli.rm_data()\n"
+        "print(sorted(dims))")
+    assert out == "[5, 7, 11]\n"
+
+
 @pytest.mark.parametrize(
     "layer", ["exactq", "chimat", "bounds", "classify", "charser", "reedmuller", "genus"])
 def test_every_exported_name_exists(layer):
@@ -148,3 +168,36 @@ def test_every_private_helper_has_a_caller_in_its_module():
     unread = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
               if (names := unread_private_names(ast.parse(path.read_text(), str(path))))}
     assert unread == {}
+
+
+def known_names() -> set[str]:
+    """Names the README may put in backticks: attributes of the package's
+    modules and of their classes, builtins, standard-library modules, the
+    package itself, its CLI subcommands, the keys of its fixture documents
+    and the attributes of pytest, which runs its tests."""
+    modules = [importlib.import_module("extremal2")] + [
+        importlib.import_module(f"extremal2.{path.stem}")
+        for path in PACKAGE.glob("*.py") if not path.stem.startswith("_")]
+    names = {"extremal2", *dir(builtins), *sys.stdlib_module_names, *dir(pytest)}
+    for module in modules:
+        names.update(dir(module))
+        for value in vars(module).values():
+            if inspect.isclass(value) and value.__module__ == module.__name__:
+                names.update(dir(value))
+    parser = importlib.import_module("extremal2.cli").build_parser()
+    names.update(*(action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)))
+    for path in (PACKAGE / "fixtures").glob("*.json"):  # the hook sees every object
+        json.loads(path.read_text(), object_hook=lambda obj: names.update(obj) or obj)
+    return names
+
+
+def test_readme_names_only_existing_names():
+    """Every backticked bare name or call in README.md (``name`` or
+    ``name(...)``), one-letter math symbols aside, still exists, so a deleted
+    function cannot linger in the prose."""
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    spans = re.findall(r"`([^`\n]+)`", readme)
+    bare = {m.group(1) for span in spans
+            if (m := re.fullmatch(r"([A-Za-z_]\w*)(\(.*\))?", span)) and len(m.group(1)) > 1}
+    assert sorted(bare - known_names()) == []

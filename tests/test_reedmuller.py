@@ -354,13 +354,14 @@ def test_lemma5_and_cosets_match_the_product_by_product_oracle():
 
 
 def test_lemma6_reports_the_first_differing_coset_enumerator(monkeypatch):
-    words = reedmuller._rm16_words()
-    dropped = words[2]  # weight 32: each coset loses a word of weight 28 or 36
-    monkeypatch.setattr(reedmuller, "_rm16_words", lambda: words[:2] + words[3:])
-    # the lane tables are built from the patched list, in a cache of their own
+    rm16 = rm_codes().rm16
+    dropped = rm16.basis[2]  # weight 32: each coset loses a word of weight 28 or 36
+    monkeypatch.setitem(vars(rm16), "words", rm16.words - {dropped})
+    # the lane tables are built from the patched span, in a cache of their own
     monkeypatch.setattr(reedmuller, "_mask_lanes",
                         functools.lru_cache(maxsize=1)(reedmuller._mask_lanes.__wrapped__))
-    alphas = [a for a in rm_codes().rm24.codewords() if a.bit_count() == 6]
+    # in the scan's order, so lost[0] is the first coset's missing weight
+    alphas = [a for a in rm_codes().rm24.words if a.bit_count() == 6]
     lost = [(_join(a, a, a, a ^ 0xFFFF) ^ dropped).bit_count() for a in alphas]
     assert lost[0] == 28 and 36 in lost
     report = lemma6_scan()
@@ -381,7 +382,7 @@ def test_dual_byte_tables_match_the_bit_sliced_columns():
     # byte j of mask k is the one entry v of table j whose lane k reads 0
     masks = [sum(next(v for v in range(256) if rows[j][v][k] == 0) << 8 * j for j in range(8))
              for k in range(lanes)]
-    assert masks[:128] == list(reedmuller._rm16_words())
+    assert masks[:128] == list(rm16.words)
     assert sorted(masks) == sorted({g & h for g in rm16.codewords() for h in rm16.basis})
     # column i holds bit i of each mask, one 0/1 lane per mask
     columns = [int.from_bytes(bytes(m >> i & 1 for m in masks), "little") for i in range(64)]
@@ -396,7 +397,7 @@ def test_dual_byte_tables_match_the_bit_sliced_columns():
 
 def test_weight_lanes_match_direct_popcounts():
     """The 128 g lanes of every entry, and the wt(g) lanes, against bit_count()."""
-    words = reedmuller._rm16_words()
+    words = list(rm_codes().rm16.words)
     tables, weights, ones, g_lanes = reedmuller._mask_lanes()
     lanes = len(words)
     assert g_lanes.to_bytes(485, "little") == bytes([0xFF] * lanes + [0] * (485 - lanes))

@@ -11,9 +11,10 @@ product is AND, weight is ``bit_count()``; a 64-bit word splits into four
 The codes in play are RM(1,4) (from its five generator rows), its dual
 RM(2,4) (also the span of pairwise products of RM(1,4) words), RM(1,6)
 (spanned by the four-fold repetitions of the RM(1,4) basis plus two block
-indicators), and RM(4,6) = RM(1,6)^perp.  RM(4,6) has dimension 57 and is
-never enumerated: membership goes through either dual orthogonality or
-the block characterization
+indicators), RM(2,6) (pairwise products of RM(1,6) words, dimension 22)
+and RM(4,6) = RM(1,6)^perp.  Neither of the last two is enumerated: RM(4,6)
+membership goes through either dual orthogonality or the block
+characterization
 
     (a, b, c, d) in RM(4,6)  iff  a+b+c+d in RM(2,4) and
                                   wt(a) = wt(b) = wt(c) = wt(d) (mod 2).
@@ -24,17 +25,18 @@ block characterization (``rm46_member``): each position's 20-bit syndrome
 (fold bit and block-parity bit) reduced modulo the accepted syndromes, a
 linear space, gives one representative per position, and a word belongs iff
 its positions' representatives XOR to 0; the subcode/doubly-even conditions
-(i)-(iv) for words xi = (nu1, nu2, nu3, nu4), whose brute force tests every
-product xi * g, g in RM(1,6), by dual orthogonality (the definition of
-``rm46_member_dual``) and for double evenness; the sweep over weight-6 words of RM(2,4) whose coset xi + RM(1,6)
-always has weight enumerator 64 x^28 + 64 x^36; and the explicit word of the
-construction whose minimum coset weight 28 certifies twisted-module top
-weight 28/16 = 7/4.  One lane family decides all three per word: 8 lookups
-in per-byte tables packing one 8-bit lane per mask m = g & h (h in the
-RM(1,6) basis; 485 distinct masks, the 128 words g among them) give every
-wt(xi + m), and 2 wt(xi * m) = wt(xi) + wt(m) - wt(xi + m) turns them into
-the parity of each xi * g * h and the weight of each xi * g mod 4, while the
-g lanes are the coset weights.  Tables are built on first use, never at
+(i)-(iv) for words xi = (nu1, nu2, nu3, nu4); the sweep over weight-6 words
+of RM(2,4) whose coset xi + RM(1,6) always has weight enumerator
+64 x^28 + 64 x^36; and the explicit word of the construction whose minimum
+coset weight 28 certifies twisted-module top weight 28/16 = 7/4.
+
+The subcode test, xi * g in RM(4,6) for every g in RM(1,6), says xi is
+orthogonal to every g * h, that is to RM(2,6), whose dual is RM(3,6)
+(MacWilliams-Sloane, ch. 13): 22 parity checks decide it, as 7 decide
+``rm46_member_dual``.  One lane family serves the rest: 8 lookups in per-byte
+tables packing one 8-bit lane per word g of RM(1,6) give the 128 coset
+weights wt(xi + g), and 2 wt(xi * g) = wt(xi) + wt(g) - wt(xi + g) turns
+them into the doubly-even test.  Tables are built on first use, never at
 import.
 """
 
@@ -194,12 +196,13 @@ class RMCodes(NamedTuple):
     rm14: LinearCode
     rm24: LinearCode
     rm16: LinearCode
+    rm26: LinearCode
     rm46: LinearCode
 
 
 @lru_cache(maxsize=1)
 def rm_codes() -> RMCodes:
-    """Build RM(1,4), RM(2,4), RM(1,6) and RM(4,6)."""
+    """Build RM(1,4), RM(2,4), RM(1,6), RM(2,6) and RM(4,6)."""
     alpha = [word(r) for r in _ALPHA_ROWS]
     rm14 = LinearCode(16, alpha)
     rm24 = rm14.product(rm14)
@@ -207,32 +210,28 @@ def rm_codes() -> RMCodes:
     gamma.append(_join(0, _MASK16, 0, _MASK16))
     gamma.append(_join(0, 0, _MASK16, _MASK16))
     rm16 = LinearCode(64, gamma)
-    rm46 = rm16.dual()
-    return RMCodes(rm14, rm24, rm16, rm46)
+    return RMCodes(rm14, rm24, rm16, rm16.product(rm16), rm16.dual())
 
 
 @lru_cache(maxsize=1)
-def _mask_lanes() -> tuple[tuple[tuple[int, ...], ...], int, int, int]:
-    """Weights packed one 8-bit lane per mask m_k, the 485 distinct g & h (g
-    in RM(1,6), h in its basis), with the 128 words g first (the basis holds
-    the all-ones word): lane k of entry v of table j is wt(v ^ byte j of m_k),
-    so the 8 lookups of a word's bytes sum to the lanes wt(xi ^ m_k).  Also
-    the lanes wt(m_k) (the sum of the entries 0), ONES (a 1 in every lane)
-    and the mask of the g lanes."""
-    rm16 = rm_codes().rm16
-    masks = dict.fromkeys([*rm16.words, *(g & h for g in rm16.words for h in rm16.basis)])
-    ones = int.from_bytes(bytes([1] * len(masks)), "little")
+def _coset_lanes() -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """Weights packed one 8-bit lane per word g_k of RM(1,6): lane k of entry
+    v of table j is wt(v ^ byte j of g_k), so the 8 lookups of a word's bytes
+    sum to the 128 lanes wt(xi ^ g_k).  Also the lanes wt(g_k) (the sum of
+    the entries 0) and ONES (a 1 in every lane)."""
+    words = rm_codes().rm16.words
+    ones = int.from_bytes(bytes([1] * len(words)), "little")
     weight = bytes(x.bit_count() for x in range(256))
     bits = [bytes(x >> b & 1 for x in range(256)) for b in range(8)]
     tables = []
     for j in range(0, 64, 8):
-        column = bytes(m >> j & 0xFF for m in masks)  # byte j of each mask
+        column = bytes(g >> j & 0xFF for g in words)  # byte j of each word
         table = [int.from_bytes(column.translate(weight), "little")]
         for bit in bits:
             has_bit = int.from_bytes(column.translate(bit), "little")
-            table += [t + ones - 2 * has_bit for t in table]  # +1 where m_k has a 0
+            table += [t + ones - 2 * has_bit for t in table]  # +1 where g_k has a 0
         tables.append(tuple(table))
-    return tuple(tables), sum(table[0] for table in tables), ones, (1 << 8 * len(rm16.words)) - 1
+    return tuple(tables), sum(table[0] for table in tables), ones
 
 
 @lru_cache(maxsize=1)
@@ -294,11 +293,16 @@ class Lemma5Report(NamedTuple):
     (i)   nu1+nu2+nu3+nu4 in RM(1,4)
     (ii)  nui+nuj in RM(1,4)^perp for all i < j
     (iii) every block has even weight
-    (iv)  xi * (a,a,a,a) is doubly even for each RM(1,4) basis word a
+    (iv)  xi * g is doubly even for each of the 7 RM(1,6) basis words g:
+          (a,a,a,a) for the 5 RM(1,4) basis words a, and the block
+          indicators (0,1,0,1) and (0,0,1,1)
 
-    ``subcode_ok`` / ``doubly_even_ok`` are brute-forced over all 128
-    elements of RM(1,6) and must satisfy (i & ii & iii) == subcode_ok and
-    (i & ii & iii & iv) == doubly_even_ok.
+    ``subcode_ok`` (xi orthogonal to RM(2,6): every xi * g in RM(4,6)) and
+    ``doubly_even_ok`` (also every wt(xi * g) = 0 mod 4, brute-forced over
+    all 128 words g) must satisfy (i & ii & iii) == subcode_ok and
+    (i & ii & iii & iv) == doubly_even_ok.  Given subcode_ok, wt(xi * g)
+    mod 4 is additive in g (xi * g1 * g2 has even weight), so (iv) needs the
+    whole basis and no more.
     """
 
     cond_i: bool
@@ -319,35 +323,30 @@ class Lemma5Report(NamedTuple):
 def _lemma5(xi: int) -> tuple[Lemma5Report, int]:
     """The report and the lanes wt(xi ^ g), g in RM(1,6), from one pass.
 
-    The 8 lookups in ``_mask_lanes`` sum to the lanes wt(xi ^ m) over the 485
-    masks m = g & h, and 2 wt(xi & m) = wt(xi) + wt(m) - wt(xi ^ m) turns
-    them into both brute-force verdicts; their 128 g lanes are the coset
-    weights."""
+    The subcode test is 22 parity checks against the basis of RM(2,6).  The
+    8 lookups in ``_coset_lanes`` sum to the 128 coset weights wt(xi ^ g),
+    and 2 wt(xi & g) = wt(xi) + wt(g) - wt(xi ^ g) turns them into the
+    doubly-even verdict."""
     _check64(xi)
     codes = rm_codes()
     nus = _blocks(xi)
     cond_i = (nus[0] ^ nus[1] ^ nus[2] ^ nus[3]) in codes.rm14.words
-    cond_ii = all(
-        (nus[i] ^ nus[j]) in codes.rm24.words
-        for i in range(4)
-        for j in range(i + 1, 4)
-    )
+    cond_ii = all((a ^ b) in codes.rm24.words for a, b in itertools.combinations(nus, 2))
     cond_iii = all(nu.bit_count() % 2 == 0 for nu in nus)
-    cond_iv = all((xi & g).bit_count() % 4 == 0 for g in codes.rm16.basis[:5])
-    tables, weights, ones, g_lanes = _mask_lanes()
+    cond_iv = all((xi & g).bit_count() % 4 == 0 for g in codes.rm16.basis)
+    subcode_ok = all((xi & m).bit_count() & 1 == 0 for m in codes.rm26.basis)
+    tables, weights, ones = _coset_lanes()
     lanes = sum(table[xi >> 8 * j & 0xFF] for j, table in enumerate(tables))
-    # lanes 2 wt(xi & m) of at most 128, so none borrows.  All are 0 mod 4
-    # iff every xi & g & h has even weight (rm46_member_dual(xi & g) for
-    # every g); a g lane is 0 mod 8 iff xi & g is doubly even.
+    # lanes 2 wt(xi & g) of at most 128, so none borrows; a lane is 0 mod 8
+    # iff xi & g is doubly even
     twice_and = xi.bit_count() * ones + weights - lanes
-    subcode_ok = twice_and & 3 * ones == 0
-    doubly_even_ok = subcode_ok and twice_and & 7 * ones & g_lanes == 0
+    doubly_even_ok = subcode_ok and twice_and & 7 * ones == 0
     report = Lemma5Report(cond_i, cond_ii, cond_iii, cond_iv, subcode_ok, doubly_even_ok)
-    return report, lanes & g_lanes
+    return report, lanes
 
 
 def lemma5_check(xi: int) -> Lemma5Report:
-    """Evaluate conditions (i)-(iv) and their brute-force counterparts."""
+    """Evaluate conditions (i)-(iv) and the two tests they must match."""
     return _lemma5(xi)[0]
 
 

@@ -39,31 +39,26 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "subcode-on-g-lanes-only", "reedmuller",
-        "subcode_ok = twice_and & 3 * ones == 0",
-        "subcode_ok = twice_and & 3 * ones & g_lanes == 0",
-        ("tests/test_reedmuller.py::test_lemma5_equivalences_on_random_words",
-         "tests/test_reedmuller.py::test_lemma5_equivalences_on_structured_words",
-         "tests/test_reedmuller.py::test_lemma5_and_cosets_match_the_product_by_product_oracle"),
-    ),
-    Mutant(
-        "subcode-mod-2", "reedmuller",
-        "subcode_ok = twice_and & 3 * ones == 0",
-        "subcode_ok = twice_and & 1 * ones == 0",
+        "rm26-basis-row-dropped", "reedmuller",
+        "for m in codes.rm26.basis)",
+        "for m in codes.rm26.basis[1:])",
         ("tests/test_reedmuller.py::test_lemma5_odd_block_weight_fails_condition_iii",
-         "tests/test_reedmuller.py::test_lemma5_equivalences_on_random_words",
+         "tests/test_reedmuller.py::test_subcode_test_reads_every_rm26_row"),
+    ),
+    Mutant(
+        "doubly-even-mod-4", "reedmuller",
+        "twice_and & 7 * ones == 0",
+        "twice_and & 3 * ones == 0",
+        ("tests/test_reedmuller.py::test_condition_iv_reads_the_block_indicators",
          "tests/test_reedmuller.py::test_lemma5_equivalences_on_structured_words",
          "tests/test_reedmuller.py::test_lemma5_and_cosets_match_the_product_by_product_oracle"),
     ),
     Mutant(
-        "doubly-even-on-every-lane", "reedmuller",
-        "twice_and & 7 * ones & g_lanes == 0",
-        "twice_and & 7 * ones == 0",
-        ("tests/test_reedmuller.py::test_lemma5_on_construction_word",
-         "tests/test_reedmuller.py::test_lemma5_and_cosets_match_the_product_by_product_oracle",
-         "tests/test_reedmuller.py::test_lemma6_sweep",
-         "tests/test_cli.py::test_rm_verify_check_and_md",
-         "tests/test_acceptance.py::test_criterion_08_code_suite"),
+        "iv-on-repetition-words-only", "reedmuller",
+        "for g in codes.rm16.basis)",
+        "for g in codes.rm16.basis[:5])",
+        ("tests/test_reedmuller.py::test_condition_iv_reads_the_block_indicators",
+         "tests/test_reedmuller.py::test_lemma5_and_cosets_match_the_product_by_product_oracle"),
     ),
     Mutant(
         "tail-one-position-short", "reedmuller",
@@ -143,7 +138,7 @@ MUTANTS = (
     Mutant(
         "table-built-at-import", "reedmuller",
         'XI_ALPHA = word("0110 1100 1010 0000")\n',
-        'XI_ALPHA = word("0110 1100 1010 0000")\n_mask_lanes()\n',
+        'XI_ALPHA = word("0110 1100 1010 0000")\n_coset_lanes()\n',
         ("tests/test_package.py::test_cli_import_builds_no_reedmuller_table",),
     ),
     Mutant(

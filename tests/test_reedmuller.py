@@ -75,12 +75,13 @@ def test_code_dimensions():
     assert codes.rm14.dim == 5
     assert codes.rm24.dim == 11
     assert codes.rm16.dim == 7
+    assert codes.rm26.dim == 22
     assert codes.rm46.dim == 57
 
 
 def test_duality_involution_and_dimension_sum():
     codes = rm_codes()
-    for code in (codes.rm14, codes.rm24, codes.rm16):
+    for code in (codes.rm14, codes.rm24, codes.rm16, codes.rm26):
         d = code.dual()
         assert code.dim + d.dim == code.length
         dd = d.dual()
@@ -128,6 +129,14 @@ def test_rm46_basis_meets_both_independent_definitions():
     assert all(rm46_member(row) and rm46_member_dual(row) for row in basis)
 
 
+def test_dual_of_rm26_lies_in_rm46():
+    """RM(2,6)^perp, the words that pass the subcode test, is RM(3,6): of
+    dimension 42 and inside RM(4,6) by both membership definitions."""
+    rm36 = rm_codes().rm26.dual()
+    assert rm36.dim == 42
+    assert all(rm46_member(row) and rm46_member_dual(row) for row in rm36.basis)
+
+
 def test_rm24_is_dual_of_rm14():
     codes = rm_codes()
     dual = codes.rm14.dual()
@@ -159,6 +168,8 @@ def test_enumeration_guard_for_large_codes():
         weight_enumerator(rm_codes().rm46)
     with pytest.raises(ValueError, match="enumeration infeasible"):
         rm_codes().rm46.words
+    with pytest.raises(ValueError, match="enumeration infeasible"):
+        rm_codes().rm26.words
 
 
 def test_words_is_the_span_and_agrees_with_membership():
@@ -290,6 +301,20 @@ def test_lemma5_odd_block_weight_fails_condition_iii():
     assert report.consistent
 
 
+def test_condition_iv_reads_the_block_indicators():
+    """(0, nu, 0, nu) with nu a weight-6 word of RM(2,4) passes (i)-(iii) and
+    the subcode test, and xi * (a,a,a,a) is doubly even for every RM(1,4)
+    word a, but xi * (0,0,1,1) = (0,0,0,nu) has weight 6."""
+    nu = 0x0356
+    assert nu in rm_codes().rm24 and nu.bit_count() == 6
+    xi = _join(0, nu, 0, nu)
+    assert (xi & _join(0, 0, 0xFFFF, 0xFFFF)).bit_count() == 6
+    report = lemma5_check(xi)
+    assert report.cond_i and report.cond_ii and report.cond_iii and report.subcode_ok
+    assert not report.cond_iv and not report.doubly_even_ok
+    assert report.consistent
+
+
 def test_lemma5_equivalences_on_random_words():
     rng = random.Random(99)
     even_blocks = 0
@@ -341,11 +366,19 @@ def test_lemma5_and_cosets_match_the_product_by_product_oracle():
     randoms = [rng.getrandbits(64) for _ in range(500)]
     structured = [_join(*rng.choices(rm24, k=4)) for _ in range(500)]
     flipped = [xi ^ (1 << rng.randrange(64)) for xi in structured]
+    # (a, b, c, a + b + c + r), a, b, c in RM(2,4) and r in RM(1,4), pass
+    # (i)-(iii); some of them fail (iv) on a block indicator only
+    rm14 = rm_codes().rm14.codewords()
+    shaped = []
+    for _ in range(300):
+        a, b, c = rng.choices(rm24, k=3)
+        shaped.append(_join(a, b, c, a ^ b ^ c ^ rng.choice(rm14)))
     verdicts = set()
-    for xi in lemma6 + randoms + structured + flipped:
+    for xi in lemma6 + randoms + structured + flipped + shaped:
         report = lemma5_check(xi)
         subcode_ok, doubly_even_ok, cosets = lemma5_oracle(xi)
         assert (report.subcode_ok, report.doubly_even_ok) == (subcode_ok, doubly_even_ok)
+        assert report.consistent
         assert list(reedmuller._lane_weights(reedmuller._lemma5(xi)[1]).items()) == cosets
         verdicts.add((subcode_ok, doubly_even_ok))
     # the sample reaches every outcome: fails the subcode test, is a
@@ -353,13 +386,24 @@ def test_lemma5_and_cosets_match_the_product_by_product_oracle():
     assert verdicts == {(False, False), (True, False), (True, True)}
 
 
+def test_subcode_test_reads_every_rm26_row():
+    """For each basis row m of RM(2,6), a word orthogonal to the other 21 rows
+    but not to m fails the subcode test, and the oracle agrees."""
+    basis = rm_codes().rm26.basis
+    for k, m in enumerate(basis):
+        others = LinearCode(64, [*basis[:k], *basis[k + 1 :]]).dual()
+        xi = next(w for w in others.basis if (w & m).bit_count() & 1)
+        assert not lemma5_check(xi).subcode_ok
+        assert not lemma5_oracle(xi)[0]
+
+
 def test_lemma6_reports_the_first_differing_coset_enumerator(monkeypatch):
     rm16 = rm_codes().rm16
     dropped = rm16.basis[2]  # weight 32: each coset loses a word of weight 28 or 36
     monkeypatch.setitem(vars(rm16), "words", rm16.words - {dropped})
     # the lane tables are built from the patched span, in a cache of their own
-    monkeypatch.setattr(reedmuller, "_mask_lanes",
-                        functools.lru_cache(maxsize=1)(reedmuller._mask_lanes.__wrapped__))
+    monkeypatch.setattr(reedmuller, "_coset_lanes",
+                        functools.lru_cache(maxsize=1)(reedmuller._coset_lanes.__wrapped__))
     # in the scan's order, so lost[0] is the first coset's missing weight
     alphas = [a for a in rm_codes().rm24.words if a.bit_count() == 6]
     lost = [(_join(a, a, a, a ^ 0xFFFF) ^ dropped).bit_count() for a in alphas]
@@ -371,23 +415,20 @@ def test_lemma6_reports_the_first_differing_coset_enumerator(monkeypatch):
 
 
 def test_dual_byte_tables_match_the_bit_sliced_columns():
-    """Rebuild every lane of the 485 masks g & h one mask bit at a time:
-    lane k of entry v of table j counts the bits b where v and byte j of the
-    k-th mask differ, read from bit-sliced column 8j + b."""
-    rm16 = rm_codes().rm16
-    tables, weights, ones, _ = reedmuller._mask_lanes()
-    lanes = 485
-    assert [len(t) for t in tables] == [256] * 8
+    """Rebuild every lane of the 128 words g of RM(1,6) one bit at a time:
+    lane k of entry v of table j counts the bits b where v and byte j of g_k
+    differ, read from bit-sliced column 8j + b."""
+    words = list(rm_codes().rm16.words)
+    tables, weights, ones = reedmuller._coset_lanes()
+    lanes = len(words)
     rows = [[entry.to_bytes(lanes, "little") for entry in table] for table in tables]
-    # byte j of mask k is the one entry v of table j whose lane k reads 0
+    # byte j of g_k is the one entry v of table j whose lane k reads 0
     masks = [sum(next(v for v in range(256) if rows[j][v][k] == 0) << 8 * j for j in range(8))
              for k in range(lanes)]
-    assert masks[:128] == list(rm16.words)
-    assert sorted(masks) == sorted({g & h for g in rm16.codewords() for h in rm16.basis})
-    # column i holds bit i of each mask, one 0/1 lane per mask
-    columns = [int.from_bytes(bytes(m >> i & 1 for m in masks), "little") for i in range(64)]
+    assert masks == words
+    # column i holds bit i of each word, one 0/1 lane per word
+    columns = [int.from_bytes(bytes(g >> i & 1 for g in words), "little") for i in range(64)]
     assert weights == sum(columns)
-    assert ones.to_bytes(lanes, "little") == bytes([1] * lanes)
     for j, table in enumerate(tables):
         for v, entry in enumerate(table):
             expected = sum(ones - columns[8 * j + b] if v >> b & 1 else columns[8 * j + b]
@@ -396,18 +437,20 @@ def test_dual_byte_tables_match_the_bit_sliced_columns():
 
 
 def test_weight_lanes_match_direct_popcounts():
-    """The 128 g lanes of every entry, and the wt(g) lanes, against bit_count()."""
+    """Every lane of every table entry, and the wt(g) and ONES lanes, against
+    bit_count(): lane k of entry v of table j is wt(v ^ byte j of g_k), one
+    lane for each of the 128 words g_k of RM(1,6) and no more."""
     words = list(rm_codes().rm16.words)
-    tables, weights, ones, g_lanes = reedmuller._mask_lanes()
+    tables, weights, ones = reedmuller._coset_lanes()
     lanes = len(words)
-    assert g_lanes.to_bytes(485, "little") == bytes([0xFF] * lanes + [0] * (485 - lanes))
-    assert (ones & g_lanes).to_bytes(lanes, "little") == bytes([1] * lanes)
-    assert (weights & g_lanes).to_bytes(lanes, "little") == bytes(g.bit_count() for g in words)
+    assert lanes == 128
+    assert ones.to_bytes(lanes, "little") == bytes([1] * lanes)
+    assert weights.to_bytes(lanes, "little") == bytes(g.bit_count() for g in words)
     assert [len(t) for t in tables] == [256] * 8
     for j, table in enumerate(tables):
         for v, entry in enumerate(table):
             direct = bytes((v ^ (g >> 8 * j & 0xFF)).bit_count() for g in words)
-            assert (entry & g_lanes).to_bytes(lanes, "little") == direct, (j, v)
+            assert entry.to_bytes(lanes, "little") == direct, (j, v)
 
 
 def test_self_orthogonality_of_passing_products():

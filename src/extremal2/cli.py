@@ -15,7 +15,6 @@ import errno
 import io
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -296,6 +295,19 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+class _NegativeRational:
+    """argparse reads a token that starts with "-" as an option unless its
+    private ``_negative_number_matcher`` matches it.  This one matches every
+    negative rational ``_parse_fraction`` reads: "--c -4.4e0" is "--c=-4.4e0"."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            return text.startswith("-") and _parse_fraction(text) is not None
+        except argparse.ArgumentTypeError:
+            return False
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="extremal2",
@@ -331,10 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_genus(p):
         p.add_argument("--category", required=True)
         p.add_argument("--c", required=True, type=_parse_fraction)
-        # argparse takes a token that starts with "-" for an option unless its
-        # private pattern calls it a negative int or decimal; widen that
-        # pattern to fractions so "--c -22/5" parses like "--c=-22/5"
-        p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        p._negative_number_matcher = _NegativeRational
 
     p_char = sub.add_parser("character", help="character vector of a genus")
     add_genus(p_char)

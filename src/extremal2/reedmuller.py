@@ -20,15 +20,13 @@ characterization
                                   wt(a) = wt(b) = wt(c) = wt(d) (mod 2).
 
 On top of these sit the certification scans: the minimum weight 4 of
-RM(4,6), whose scan puts all 43744 words of weight at most 3 through the
-block characterization (``rm46_member``): each position's 20-bit syndrome
-(fold bit and block-parity bit) reduced modulo the accepted syndromes, a
-linear space, gives one representative per position, and a word belongs iff
-its positions' representatives XOR to 0; the subcode/doubly-even conditions
-(i)-(iv) for words xi = (nu1, nu2, nu3, nu4); the sweep over weight-6 words
-of RM(2,4) whose coset xi + RM(1,6) always has weight enumerator
-64 x^28 + 64 x^36; and the explicit word of the construction whose minimum
-coset weight 28 certifies twisted-module top weight 28/16 = 7/4.
+RM(4,6), the least number of dependent columns of its parity-check matrix,
+the generator of RM(1,6) (MacWilliams-Sloane, ch. 1 section 3); the
+subcode/doubly-even conditions (i)-(iv) for words xi = (nu1, nu2, nu3, nu4);
+the sweep over weight-6 words of RM(2,4) whose coset xi + RM(1,6) always has
+weight enumerator 64 x^28 + 64 x^36; and the explicit word of the
+construction whose minimum coset weight 28 certifies twisted-module top
+weight 28/16 = 7/4.
 
 The subcode test, xi * g in RM(4,6) for every g in RM(1,6), says xi is
 orthogonal to every g * h, that is to RM(2,6), whose dual is RM(3,6)
@@ -115,6 +113,11 @@ def _reduce_rows(rows: list[int]) -> list[int]:
     return basis
 
 
+def _columns(code: "LinearCode") -> list[int]:
+    """Column p of the code's generator matrix: bit i is bit p of basis row i."""
+    return [sum((g >> p & 1) << i for i, g in enumerate(code.basis)) for p in range(code.length)]
+
+
 class LinearCode:
     """Binary linear code presented by independent basis rows.
 
@@ -168,8 +171,7 @@ class LinearCode:
         1 << n lost their G^T half, so their I halves are dual words; the
         other dim rows carry rank G^T, so these n - dim span the dual."""
         n = self.length
-        rows = [sum((g >> p & 1) << i for i, g in enumerate(self.basis)) << n | 1 << p
-                for p in range(n)]
+        rows = [column << n | 1 << p for p, column in enumerate(_columns(self))]
         return LinearCode(n, [r for r in _reduce_rows(rows) if r < 1 << n])
 
     def product(self, other: "LinearCode") -> "LinearCode":
@@ -234,16 +236,6 @@ def _coset_lanes() -> tuple[tuple[tuple[int, ...], ...], int, int]:
     return tuple(tables), sum(table[0] for table in tables), ones
 
 
-@lru_cache(maxsize=1)
-def _position_reps() -> tuple[int, ...]:
-    """The block characterization as a table: each position's syndrome (fold
-    bit | block-parity bit) reduced modulo the accepted syndromes, the span of
-    the RM(2,4) folds and of equal parity in all four blocks.  A word is in
-    RM(4,6) iff its positions' representatives XOR to 0."""
-    accepted = LinearCode(20, [*rm_codes().rm24.basis, 0xF << 16])
-    return tuple(accepted.reduce(1 << (15 - p % 16) | 1 << (16 + p // 16)) for p in range(64))
-
-
 def rm46_member(bits: int) -> bool:
     """Block characterization of RM(4,6) membership (no enumeration)."""
     _check64(bits)
@@ -262,22 +254,20 @@ def rm46_member_dual(bits: int) -> bool:
 def min_weight_rm46() -> tuple[int, int]:
     """Minimum weight of RM(4,6) with a witness word.
 
-    Exhausts all 43744 words of weight at most 3 (none belong), then
-    produces a weight-4 member by planting a weight-4 RM(2,4) word in the
-    first block.
+    A word is in RM(4,6) = RM(1,6)^perp iff RM(1,6)'s generator columns at
+    its positions XOR to 0.  So none of the 43744 words of weight at most 3
+    belongs iff no column is 0, no two are equal and, given those, no pair
+    XORs to a third (2016 pair lookups).  A weight-4 RM(2,4) word planted in
+    the first block is the witness.
     """
-    reps = _position_reps()
-    # a word of weight wt is a head of weight wt - 1 ending at position
-    # ``last`` plus one later position k, and belongs iff the head's
-    # representative is rep k: one lookup in the set of the later positions'
-    # representatives.  Heads and tails in combinations order.
-    tails = [frozenset(reps[k:]) for k in range(65)]
-    singles = list(enumerate(reps))
-    pairs = [(j, a ^ b) for (_, a), (j, b) in itertools.combinations(singles, 2)]
-    for wt, heads in ((1, [(-1, 0)]), (2, singles), (3, pairs)):
-        for last, head in heads:
-            if head in tails[last + 1]:
-                raise RuntimeError(f"unexpected weight-{wt} word in RM(4,6)")
+    columns = _columns(rm_codes().rm16)
+    distinct = set(columns)
+    if 0 in distinct:
+        raise RuntimeError("unexpected weight-1 word in RM(4,6)")
+    if len(distinct) < len(columns):
+        raise RuntimeError("unexpected weight-2 word in RM(4,6)")
+    if any(a ^ b in distinct for a, b in itertools.combinations(columns, 2)):
+        raise RuntimeError("unexpected weight-3 word in RM(4,6)")
     planted = [w for w in rm_codes().rm24.words if w.bit_count() == 4]
     if not planted:
         raise RuntimeError("no weight-4 word in RM(2,4)")

@@ -61,20 +61,21 @@ MUTANTS = (
          "tests/test_reedmuller.py::test_lemma5_and_cosets_match_the_product_by_product_oracle"),
     ),
     Mutant(
-        "tail-one-position-short", "reedmuller",
-        "tails = [frozenset(reps[k:]) for k in range(65)]",
-        "tails = [frozenset(reps[k + 1 :]) for k in range(65)]",
-        ("tests/test_reedmuller.py::test_min_weight_scan_reaches_the_last_weight3_word",
-         "tests/test_reedmuller.py::test_min_weight_scan_tests_each_word_at_its_weight[positions2]",
-         "tests/test_reedmuller.py::test_min_weight_scan_tests_each_word_at_its_weight[positions5]"),
-    ),
-    Mutant(
-        "weight-2-words-unscanned", "reedmuller",
-        "((1, [(-1, 0)]), (2, singles), (3, pairs))",
-        "((1, [(-1, 0)]), (3, pairs))",
+        "repeated-columns-unchecked", "reedmuller",
+        "if len(distinct) < len(columns):",
+        "if len(distinct) < len(distinct):",
         ("tests/test_reedmuller.py::test_min_weight_scan_tests_each_word_at_its_weight[positions2]",
          "tests/test_reedmuller.py::test_min_weight_scan_tests_each_word_at_its_weight[positions3]",
          "tests/test_reedmuller.py::test_min_weight_scan_tests_each_word_at_its_weight[positions4]"),
+    ),
+    Mutant(
+        "columns-from-six-rows", "reedmuller",
+        "for i, g in enumerate(code.basis))",
+        "for i, g in enumerate(code.basis[:6]))",
+        ("tests/test_reedmuller.py::test_rm16_columns_are_the_odd_seven_bit_values",
+         "tests/test_reedmuller.py::test_min_weight_four_with_witness",
+         "tests/test_reedmuller.py::test_weight_census_matches_macwilliams_transform",
+         "tests/test_reedmuller.py::test_code_dimensions"),
     ),
     Mutant(
         "wrong-coset-count", "reedmuller",
@@ -83,6 +84,12 @@ MUTANTS = (
         ("tests/test_reedmuller.py::test_lemma6_sweep",
          "tests/test_cli.py::test_rm_verify_check_and_md",
          "tests/test_acceptance.py::test_criterion_08_code_suite"),
+    ),
+    Mutant(
+        "c94-coset-coefficient-bumped", "charser",
+        "121366368",
+        "121366369",
+        ("tests/test_charser.py::test_module_pairing_pins_the_stored_c94_component",),
     ),
     Mutant(
         "bumped-a2-in-expand", "charser",
@@ -183,6 +190,12 @@ MUTANTS = (
         'failure = f"modular S/T check fails',
         '_ = f"modular S/T check fails',
         ("tests/test_cli.py::test_catalog_exits_1_on_a_row_that_fails_the_st_check",),
+    ),
+    Mutant(
+        "negative-rational-matcher-narrowed", "cli",
+        'return text.startswith("-") and _parse_fraction(text) is not None',
+        'return text.startswith("-") and "e" not in text and _parse_fraction(text) is not None',
+        ("tests/test_cli.py::test_negative_c_forms_that_parse_and_one_that_does_not",),
     ),
     Mutant(
         "rm-self-check-dropped", "cli",

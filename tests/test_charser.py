@@ -319,6 +319,23 @@ def test_mismatches_and_a_failing_coset_sum(monkeypatch):
     assert not coset_extension_sum_check()
 
 
+def test_module_pairing_pins_the_stored_c94_component():
+    """M_{9/4} = C_{9/4} * A_0 + C_2 * A_{1/4}, under the weight pairing
+    (9/4, 2) <-> (0, 1/4), against the module component of the c = 33
+    character: the stored C_{9/4} misses it at q^0 and q^1.  Pinned as it
+    stands; the data are not corrected here."""
+    semion = category("semion")
+    a1 = character_vector(expand(genus(semion, 1), chi_of(semion, 1), order=6))
+    target = character_vector(expand(genus(semion, 33), chi_of(semion, 33), order=6))
+    computed = _series_sum(
+        _series_product(COSET_CHARACTER[1], a1.component(0)),
+        _series_product(COSET_CHARACTER[3], a1.component(1)),
+    )
+    assert computed[0] == target.exponent1 == F(7, 8)
+    assert _mismatches(computed, target.component(1)) == [
+        (0, 565968, 565760), (1, 192113616, 192053760)]
+
+
 def test_branching_diagnostic_reports_documented_mismatch():
     diag = branching_diagnostic()
     assert not diag.matches

@@ -284,6 +284,11 @@ def test_negative_fractional_c_parses_with_or_without_equals(argv):
 def test_negative_c_forms_that_parse_and_one_that_does_not(capsys):
     rc, out = run_main("chi", "--category", "semion", "--c", "-23")
     assert rc == 0 and json.loads(out)["c"] == "-23"
+    # an exponent form reads as the same value, spaced or joined
+    rc_spaced, spaced = run_main("chi", "--category", "yang-lee", "--c", "-4.4e0")
+    rc_joined, joined = run_main("chi", "--category", "yang-lee", "--c=-4.4e0")
+    assert rc_spaced == rc_joined == 0 and spaced == joined
+    assert json.loads(spaced)["c"] == "-22/5"
     with pytest.raises(SystemExit) as exc:
         cli.main(["chi", "--category", "semion", "--c", "-x/5"])
     assert exc.value.code == 2

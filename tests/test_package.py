@@ -89,7 +89,7 @@ def test_cli_import_builds_no_reedmuller_table():
         "print(json.dumps({name: f.cache_info().currsize for name, f in vars(rm).items()"
         " if hasattr(f, 'cache_info')}))")
     sizes = json.loads(out)
-    assert {"rm_codes", "_position_reps", "_coset_lanes"} <= set(sizes)
+    assert {"rm_codes", "_coset_lanes"} <= set(sizes)
     assert set(sizes.values()) == {0}
 
 

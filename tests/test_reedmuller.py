@@ -211,21 +211,41 @@ def test_min_weight_four_with_witness():
     assert rm46_member(witness)
 
 
+def test_rm16_columns_are_the_odd_seven_bit_values():
+    """The 64 columns of RM(1,6)'s generator are distinct 7-bit values, each
+    with bit 0 (the all-ones row) set: all of 1, 3, ..., 127, once each."""
+    codes = rm_codes()
+    assert codes.rm16.basis[0] == (1 << 64) - 1
+    assert sorted(reedmuller._columns(codes.rm16)) == list(range(1, 128, 2))
+
+
+def scan_columns(monkeypatch, columns):
+    """Make ``min_weight_rm46`` read a generator matrix with these columns.
+
+    ``rm_codes`` is patched, not ``_columns``: the cached codes, and the
+    RM(4,6) that ``dual()`` built from the real columns, stay as they are.
+    Rows no column reaches are left out; the dependencies are unchanged."""
+    width = max(columns).bit_length()
+    rows = [sum((c >> i & 1) << p for p, c in enumerate(columns)) for i in range(width)]
+    codes = rm_codes()._replace(rm16=LinearCode(64, [r for r in rows if r]))
+    monkeypatch.setattr(reedmuller, "rm_codes", lambda: codes)
+
+
+UNITS = [1 << p for p in range(64)]
+
+
 def test_min_weight_raises_on_a_broken_membership_test(monkeypatch):
-    # modulo a space that holds every position's syndrome, every
-    # representative is 0, so the first word raises
-    monkeypatch.setattr(reedmuller, "_position_reps", lambda: (0,) * 64)
+    # with every column 0, every word is a member, so the first test raises
+    scan_columns(monkeypatch, [0] * 64)
     with pytest.raises(RuntimeError, match="unexpected weight-1"):
         min_weight_rm46()
 
 
 def test_min_weight_scan_reaches_the_last_weight3_word(monkeypatch):
-    # with one bit per position and rep 63 = rep 61 ^ rep 62, the only word of
-    # weight at most 3 whose representatives XOR to 0 is positions 61, 62, 63,
-    # the last of the 43744 words in scan order
-    units = tuple(1 << (63 - p) for p in range(64))
-    reps = units[:63] + (units[61] ^ units[62],)
-    monkeypatch.setattr(reedmuller, "_position_reps", lambda: reps)
+    # with unit columns and column 63 = column 61 ^ column 62, the only word of
+    # weight at most 3 whose columns XOR to 0 is positions 61, 62, 63, the
+    # last of the 43744 words in combinations order
+    scan_columns(monkeypatch, UNITS[:63] + [UNITS[61] ^ UNITS[62]])
     with pytest.raises(RuntimeError, match="unexpected weight-3"):
         min_weight_rm46()
 
@@ -233,23 +253,23 @@ def test_min_weight_scan_reaches_the_last_weight3_word(monkeypatch):
 @pytest.mark.parametrize("positions", [
     (0,), (63,), (0, 1), (5, 40), (62, 63), (0, 1, 2), (7, 23, 56), (61, 62, 63)])
 def test_min_weight_scan_tests_each_word_at_its_weight(positions, monkeypatch):
-    """With one bit per position as the syndrome and the accepted space
-    spanned by one word's syndrome, that word is the only one whose
-    representatives XOR to 0, so the scan raises exactly when it reaches it
-    (real syndromes are shared: positions 13, 14, 63 have the one of 61,
-    62, 63)."""
-    units = tuple(1 << (63 - p) for p in range(64))
-    accepted = LinearCode(64, [sum(units[p] for p in positions)])
-    reps = tuple(map(accepted.reduce, units))
-    monkeypatch.setattr(reedmuller, "_position_reps", lambda: reps)
+    """Unit columns, except that the last position's column is the XOR of the
+    others' (0 for one position, a copy for two, a sum for three): that word
+    is the only dependency of at most 3 columns, and the scan raises at its
+    weight."""
+    columns = list(UNITS)
+    *others, last = positions
+    columns[last] = sum(UNITS[p] for p in others)
+    scan_columns(monkeypatch, columns)
     with pytest.raises(RuntimeError, match=f"unexpected weight-{len(positions)}"):
         min_weight_rm46()
 
 
 def test_weight_census_matches_macwilliams_transform():
-    """Count RM(4,6) words of weight <= 4, by ``rm46_member`` and by the
-    min-weight scan's representative table, and compare with the transform of
-    RM(1,6)'s enumerator (an independent binomial computation)."""
+    """Count RM(4,6) words of weight <= 4, by ``rm46_member`` and through the
+    columns of RM(1,6)'s generator (a word belongs iff its columns XOR to 0),
+    and compare with the transform of RM(1,6)'s enumerator (an independent
+    binomial computation)."""
 
     def krawtchouk(w: int) -> int:
         # coefficient of y^w in (x^2 - y^2)^32, i.e. at mid-weight 32
@@ -263,19 +283,19 @@ def test_weight_census_matches_macwilliams_transform():
             128,
         )
 
-    # the min-weight scan's representative table must agree with rm46_member
-    # on every word; bit p of a word is the scan's position 63 - p
-    reps = reedmuller._position_reps()
+    # the columns must agree with rm46_member on every word; column p is
+    # the one of bit p
+    columns = reedmuller._columns(rm_codes().rm16)
     census = {w: 0 for w in range(5)}
     census[0] = 1
     for wt in (1, 2, 3, 4):
         for positions in itertools.combinations(range(64), wt):
-            bits = rep = 0
+            bits = syndrome = 0
             for p in positions:
                 bits |= 1 << p
-                rep ^= reps[63 - p]
+                syndrome ^= columns[p]
             member = rm46_member(bits)
-            assert (rep == 0) == member, positions
+            assert (syndrome == 0) == member, positions
             census[wt] += member
     assert census == {0: 1, 1: 0, 2: 0, 3: 0, 4: 10416}
     for w in range(5):

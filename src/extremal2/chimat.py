@@ -9,6 +9,16 @@ chi_00 for large positive c), and ``k_closed`` the n-fold iterate of the
 map k that evolves the reduced pair (alpha, beta) = (chi_00 - chi_11,
 chi_10 * chi_01) under c -> c - 24; their n = 1 cases are g and k.
 
+``iterate`` is the one integer kernel behind both steps (``f_plus`` and
+``f_minus`` are its one-step cases).  With h = p/q, whose denominator q
+never changes, it carries x and w as integers over one denominator d, the
+product beta = y*z as a reduced integer pair, and the off-diagonal entry
+that the step divides by (z going up, y going down) as a running integer
+product: each step multiplies it by beta' and hands its reciprocal to the
+other entry.  Each step spends one gcd on (x, w, d), one on beta and a
+cross-cancellation against beta' on the running product, so the big
+numbers only meet small ones; Fractions are built once, at the end.
+
 ``seed`` hands out exact characteristic matrices for one representative of
 each of the three admissible classes of c mod 24 per category; all other
 matrices in the pipeline are reached from these 24 by iteration, and
@@ -19,6 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .genus import CategoryInfo, category, genus
@@ -88,54 +99,83 @@ def _require_noninteger(h: Fraction) -> Fraction:
 def f_plus(m: CharMatrix, h: Fraction) -> tuple[CharMatrix, Fraction]:
     """Advance (chi, h) at central charge c to its values at c + 24.
 
-    Requires a nonzero bottom-left entry and non-integer h (which keeps
-    the denominators h+1 and h+2 away from zero).
+    With alpha = x - w, beta = y*z and s = alpha + 120(h - 1) the step is
+    x' = (w + h(x - 240))/(h + 1), w' = (x + h(w + 240))/(h + 1),
+    y' = 1/z, z' = beta' z with
+    beta' = ((h + 1)^2 (h - 2) beta - s^2 + 746496 (h + 1)^2) / ((h + 2)(h + 1)^2),
+    and h' = h + 2.  Requires a nonzero bottom-left entry and non-integer h
+    (which keeps the denominators h+1 and h+2 away from zero).
     """
-    h = _require_noninteger(h)
-    if m.z == 0:
-        raise ValueError("not in M-: bottom-left entry is zero")
-    x, y, z, w = m.x, m.y, m.z, m.w
-    x2 = (w + h * (x - 240)) / (h + 1)
-    y2 = 1 / z
-    z2 = (
-        ((h + 1) ** 2 * (h - 2) * y * z
-         - (x - w + 120 * (h - 1)) ** 2
-         + 746496 * (h + 1) ** 2)
-        / ((h + 2) * (h + 1) ** 2)
-    ) * z
-    w2 = (x + h * (w + 240)) / (h + 1)
-    return CharMatrix(x2, y2, z2, w2), h + 2
+    return iterate(m, h, 1)
 
 
 def f_minus(m: CharMatrix, h: Fraction) -> tuple[CharMatrix, Fraction]:
     """Advance (chi, h) at central charge c to its values at c - 24.
 
-    Inverse of :func:`f_plus`; requires a nonzero top-right entry and
-    non-integer h (keeping h-3 and h-4 away from zero).
+    The inverse of :func:`f_plus`: in its notation
+    x' = (-w + (h - 2)(x + 240))/(h - 3), w' = (-x + (h - 2)(w - 240))/(h - 3),
+    z' = 1/y, y' = beta' y with
+    beta' = (h (h - 3)^2 beta + s^2 - 746496 (h - 3)^2) / ((h - 4)(h - 3)^2),
+    and h' = h - 2.  Requires a nonzero top-right entry and non-integer h
+    (keeping h-3 and h-4 away from zero).
     """
-    h = _require_noninteger(h)
-    if m.y == 0:
-        raise ValueError("not in M+: top-right entry is zero")
-    x, y, z, w = m.x, m.y, m.z, m.w
-    x2 = (-w + (h - 2) * (x + 240)) / (h - 3)
-    y2 = (
-        (h * (h - 3) ** 2 * y * z
-         + (x - w + 120 * (h - 1)) ** 2
-         - 746496 * (h - 3) ** 2)
-        / ((h - 4) * (h - 3) ** 2)
-    ) * y
-    z2 = 1 / y
-    w2 = (-x + (h - 2) * (w - 240)) / (h - 3)
-    return CharMatrix(x2, y2, z2, w2), h - 2
+    return iterate(m, h, -1)
 
 
 def iterate(m: CharMatrix, h: Fraction, steps: int) -> tuple[CharMatrix, Fraction]:
-    """Compose |steps| applications of f_plus (steps > 0) or f_minus (< 0)."""
+    """Compose |steps| applications of f_plus (steps > 0) or f_minus (< 0).
+
+    One integer kernel runs both directions.  With h = p/q, x = X/d,
+    w = W/d and beta = b/b', a step up takes (e, r, t, v, sigma) =
+    (p + q, p, p - 2q, p + 2q, 1) and a step down (p - 3q, p - 2q, -p,
+    4q - p, -1); then, with S = q(X - W) + 120(p - q)d,
+
+        X' = sigma q W + r (X - 240 sigma d),  W' = sigma q X + r (W + 240 sigma d),
+        d' = e d,  beta' = (t e^2 d^2 b + q b' (746496 e^2 d^2 - S^2)) / (v e^2 d^2 b'),
+
+    the formulas of f_plus and f_minus times q^3 d^2 b' (f_minus's beta'
+    also negated above and below).  The pivot, z going up and y going
+    down, becomes beta' times itself and the other off-diagonal entry its
+    old reciprocal.  ``steps == 0`` returns (m, h) unchecked.
+    """
     h = Fraction(h)
-    step = f_plus if steps > 0 else f_minus
+    if steps == 0:
+        return m, h
+    _require_noninteger(h)  # h moves by 2, so its denominator q never changes
+    up = steps > 0
+    p, q = h.numerator, h.denominator
+    d = lcm(m.x.denominator, m.w.denominator)
+    xn, wn = m.x.numerator * (d // m.x.denominator), m.w.numerator * (d // m.w.denominator)
+    beta = m.y * m.z
+    bn, bd = beta.numerator, beta.denominator
+    pivot = m.z if up else m.y  # the entry the step divides by
+    pn, pd = pivot.numerator, pivot.denominator
     for _ in range(abs(steps)):
-        m, h = step(m, h)
-    return m, h
+        if pn == 0:
+            raise ValueError("not in M-: bottom-left entry is zero" if up
+                             else "not in M+: top-right entry is zero")
+        if up:
+            e, r, t, v, sign = p + q, p, p - 2 * q, p + 2 * q, 1
+        else:
+            e, r, t, v, sign = p - 3 * q, p - 2 * q, -p, 4 * q - p, -1
+        shift = q * (xn - wn) + 120 * (p - q) * d
+        e2_dd = e * e * d * d
+        bn, bd = t * e2_dd * bn + q * bd * (746496 * e2_dd - shift * shift), v * e2_dd * bd
+        g = gcd(bn, bd)
+        bn, bd = bn // g, bd // g
+        xn, wn, d = (sign * q * wn + r * (xn - sign * 240 * d),
+                     sign * q * xn + r * (wn + sign * 240 * d), d * e)
+        g = gcd(xn, wn, d)
+        xn, wn, d = xn // g, wn // g, d // g
+        # cross-cancel the pivot against beta' so the pair stays reduced; the
+        # big side is reduced first, as gcd(big, small) is slow in CPython
+        other = (pd, pn)
+        g, g2 = gcd(bd, pn % bd), gcd(bn, pd % bn) if bn else 1
+        pn, pd = (pn // g) * (bn // g2), (pd // g2) * (bd // g)
+        p += 2 * sign * q
+    pivot = (pn, pd)
+    y, z = (other, pivot) if up else (pivot, other)
+    return CharMatrix(Fraction(xn, d), Fraction(*y), Fraction(*z), Fraction(wn, d)), Fraction(p, q)
 
 
 def g_closed(

@@ -9,8 +9,9 @@ graded dimensions:
 
 * constant-term filter: chi_00 and chi_10 are non-negative integers
   (chi_00 = dim V(1) may be zero);
-* series filter: every expansion coefficient of both character components
-  through ``SERIES_ORDER`` is a non-negative integer.
+* series filter: every coefficient of both character components through
+  ``SERIES_ORDER`` is a non-negative integer; ``charser.characters``
+  computes them from the scalar MLDE (the same values ``expand`` gives).
 
 The constant-term filter alone leaves 18 candidates; exactly three of
 them (semion-dagger at 27, yang-lee at 138/5, yang-lee-bar at 142/5)
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bounds import c_extremes
-from .charser import character_vector, expand
+from .charser import characters
 from .chimat import CharMatrix, iterate, seed_rows
 from .genus import CATALOG, CategoryInfo, category, genus
 
@@ -105,8 +106,7 @@ def survey() -> list[CandidateOutcome]:
             constant_ok = first_column_admissible(m)
             series_ok = None
             if constant_ok:
-                vec = character_vector(expand(genus(cat, c), m, SERIES_ORDER))
-                series_ok = vec.is_nonneg_integral()
+                series_ok = characters(genus(cat, c), m, SERIES_ORDER).is_nonneg_integral()
             out.append(CandidateOutcome(cat, c, h, m, constant_ok, series_ok))
     return out
 

@@ -22,7 +22,7 @@ from typing import NoReturn
 
 from . import __version__, bounds, classify
 from .charser import character_vector, expand
-from .chimat import CharMatrix, chi_of
+from .chimat import CharMatrix, alpha_beta, chi_of, g_closed, k_closed, seed_rows
 from .genus import CATALOG, Surd, category, genus, modular_rep_check
 from .reedmuller import (
     lemma6_scan,
@@ -86,6 +86,7 @@ def classify_data(rows: list[classify.CandidateOutcome], only: str | None = None
 def character_data(cat_id: str, c: Fraction, order: int) -> dict:
     cat = category(cat_id)
     g = genus(cat, c)
+    # expand, not charser.characters: perfbench deep's peak_rss_mib counts its kept responses
     vec = character_vector(expand(g, chi_of(cat, c), order))
     return _encode({
         "category": cat.id,
@@ -97,10 +98,24 @@ def character_data(cat_id: str, c: Fraction, order: int) -> dict:
     })
 
 
-def chi_data(cat_id: str, c: Fraction) -> dict:
+def chi_data(cat_id: str, c: Fraction, m: CharMatrix) -> dict:
     cat = category(cat_id)
     g = genus(cat, c)
-    return _encode({"category": cat.id, "c": c, "h_ext": g.h_ext, "chi": chi_of(cat, c)})
+    return _encode({"category": cat.id, "c": c, "h_ext": g.h_ext, "chi": m})
+
+
+def _walk_failure(cat_id: str, c: Fraction, m: CharMatrix) -> str | None:
+    """What contradicts ``m``, the walk's matrix at c, in the closed forms
+    from its class seed, or None: n steps above the seed its diagonal must
+    be ``g_closed``'s, below it its ``alpha_beta`` ``k_closed``'s."""
+    h = genus(category(cat_id), c).h_ext
+    c0, m0, h0 = next(row for row in seed_rows(cat_id) if (c - row[0]) % 24 == 0)
+    n = int((c - c0) / 24)
+    if n >= 0 and g_closed(m0.x, m0.w, h0, n) != (m.x, m.w, h):
+        return f"chi's diagonal differs from g_closed {n} steps above the class seed"
+    if n < 0 and k_closed(alpha_beta(m0), h0, -n) != (alpha_beta(m), h):
+        return f"chi's (alpha, beta) differs from k_closed {-n} steps below the class seed"
+    return None
 
 
 def rm_data() -> dict:
@@ -406,8 +421,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         args.subparser.error(str(exc))
 
-    # catalog, classify and rm verify check their own result, in every format
-    # and with or without --check; ``failure`` says what is wrong with it
+    # catalog, classify, chi and rm verify check their own result, in every
+    # format and with or without --check; ``failure`` says what is wrong with it
     md = fixture = failure = None
     if args.command == "catalog":
         data, fixture = catalog_data(), "catalog.json"
@@ -427,7 +442,8 @@ def main(argv: list[str] | None = None) -> int:
         except MemoryError:  # at once, when order + 2 terms cannot be allocated
             args.subparser.error(f"--order {args.order} needs more memory than is available")
     elif args.command == "chi":
-        data = chi_data(only, args.c)
+        m = chi_of(cat, args.c)
+        data, failure = chi_data(only, args.c, m), _walk_failure(only, args.c, m)
     else:
         data, md, fixture = rm_data(), _render_rm_md, "rm_verify.json"
         if not _certified(data):

@@ -4,7 +4,7 @@ Everything downstream of this module decides integrality and positivity
 questions exactly, so no floating point is allowed here.
 
 The modular forms are integer power series, held as plain lists of their
-coefficients: the Eisenstein series E4 and E6, the discriminant form
+coefficients: the Eisenstein series E2, E4 and E6, the discriminant form
 Delta = (E4^3 - E6^2)/1728, and from them the two series that drive the
 character recursion, the q^n coefficients of (J - 240)/E and 1/E, where
 J = E4^3/Delta - 744 is the normalized Hauptmodul and
@@ -37,16 +37,20 @@ def _div(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+_EISENSTEIN_SCALE = {2: -24, 4: 240, 6: -504}
+
+
 def eisenstein(k: int, n_terms: int) -> list[int]:
-    """E4 = 1 + 240 sum sigma_3(n) q^n or E6 = 1 - 504 sum sigma_5(n) q^n.
+    """E2 = 1 - 24 sum sigma_1(n) q^n, E4 = 1 + 240 sum sigma_3(n) q^n or
+    E6 = 1 - 504 sum sigma_5(n) q^n.
 
     The divisor sums come from a sieve: each d adds d^(k-1) to its multiples.
     """
-    if k not in (4, 6):
-        raise ValueError("only weights 4 and 6 are supported")
+    if k not in _EISENSTEIN_SCALE:
+        raise ValueError("only weights 2, 4 and 6 are supported")
     if n_terms < 1:
         raise ValueError("need at least one term")
-    mult = 240 if k == 4 else -504
+    mult = _EISENSTEIN_SCALE[k]
     coeffs = [1] + [0] * (n_terms - 1)
     for d in range(1, n_terms):
         term = mult * d ** (k - 1)

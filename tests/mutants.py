@@ -129,6 +129,44 @@ MUTANTS = (
          "tests/test_acceptance.py::test_criterion_05_recurrence_properties"),
     ),
     Mutant(
+        "kernel-plus-step-uses-h-plus-one", "chimat",
+        "p + q, p, p - 2 * q, p + 2 * q, 1",
+        "p + q, p + q, p - 2 * q, p + 2 * q, 1",
+        ("tests/test_chimat.py::test_iterate_is_the_schoolbook_composition",
+         "tests/test_chimat.py::test_iterate_matches_the_schoolbook_walk_from_every_seed",
+         "tests/test_chimat.py::test_f_plus_maps_negative_row_back_to_seed",
+         "tests/test_chimat.py::test_g_matches_diagonal_of_f_plus",
+         "tests/test_cli.py::test_chi_checks_its_walk_against_the_closed_forms"),
+    ),
+    Mutant(
+        "kernel-minus-step-beta-sign", "chimat",
+        "-p, 4 * q - p, -1",
+        "-p, p - 4 * q, -1",
+        ("tests/test_chimat.py::test_iterate_is_the_schoolbook_composition",
+         "tests/test_chimat.py::test_iterate_matches_the_schoolbook_walk_from_every_seed",
+         "tests/test_chimat.py::test_f_minus_from_chi_one",
+         "tests/test_chimat.py::test_k_step_matches_alpha_beta_of_f_minus",
+         "tests/test_cli.py::test_chi_checks_its_walk_against_the_closed_forms"),
+    ),
+    Mutant(
+        "g-closed-x-shift-off-by-one", "chimat",
+        "(x - 240 * n)",
+        "(x - 240 * n - 1)",
+        ("tests/test_chimat.py::test_g_step_example",
+         "tests/test_chimat.py::test_g_matches_diagonal_of_f_plus",
+         "tests/test_cli.py::test_chi_checks_its_walk_against_the_closed_forms",
+         "tests/test_cli.py::test_chi_far_from_the_window_has_no_digit_limit[24001-1000]"),
+    ),
+    Mutant(
+        "nu-fit-with-one-plus-h", "charser",
+        "nu_1728 = -(1 - g.h_ext) * m.x",
+        "nu_1728 = -(1 + g.h_ext) * m.x",
+        ("tests/test_charser.py::test_characters_match_expand_on_every_window_candidate",
+         "tests/test_charser.py::test_characters_fit_nu_to_chi00_at_ell_four",
+         "tests/test_classify.py::test_classification_matches_golden_table",
+         "tests/test_acceptance.py::test_criterion_01_golden_classification"),
+    ),
+    Mutant(
         "c-max-one-step-low", "bounds",
         "c_max = max(c + 24 * nmax_positive(m, h) for c, m, h in seed_rows(cat))",
         "c_max = max(c + 24 * nmax_positive(m, h) for c, m, h in seed_rows(cat)) - 24",

@@ -17,10 +17,11 @@ from extremal2.charser import (
     _series_sum,
     branching_diagnostic,
     character_vector,
+    characters,
     coset_extension_sum_check,
     expand,
 )
-from extremal2.chimat import CharMatrix, chi_of, f_plus, seed_rows
+from extremal2.chimat import CharMatrix, chi_of, f_plus, seed, seed_rows
 from extremal2.classify import candidates, classify_all
 from extremal2.exactq import ode_series
 from extremal2.genus import CATALOG, category, genus
@@ -235,6 +236,61 @@ def test_surviving_characters_integral_through_order_eight():
     for row in classify_all():
         vec = character_vector(expand(genus(row.category, row.c), row.chi, 8))
         assert vec.is_nonneg_integral()
+
+
+# ---------------------------------------------------------------------------
+# characters: the scalar MLDE against expand
+
+
+def test_characters_match_expand_on_every_window_candidate():
+    ells = {}
+    for cat in CATALOG:
+        for c, m, _ in candidates(cat):
+            g = genus(cat, c)
+            assert characters(g, m, 20) == character_vector(expand(g, m, 20)), (cat.id, c)
+            ells[g.ell] = ells.get(g.ell, 0) + 1
+    assert ells == {0: 27, 2: 23, 4: 24}
+
+
+@given(st.sampled_from(CATALOG), st.integers(0, 2), st.integers(-6, 6), st.integers(1, 12))
+def test_characters_match_expand_on_walk_genera(cat, class_index, steps, order):
+    c = seed(cat, class_index)[0] + 24 * steps
+    g, m = genus(cat, c), chi_of(cat, c)
+    assert characters(g, m, order) == character_vector(expand(g, m, order))
+
+
+def test_characters_rescale_the_running_denominator():
+    """The vacuum series starts at 1 over denominator 1, so a fractional
+    coefficient there exists only because a quotient was not an integer."""
+    g, m = genus(category("semion"), -23), chi_of("semion", -23)
+    vec = characters(g, m, 4)
+    assert [v.denominator for v in vec.series0] == [1, 11, 11, 209, 11, 11]
+    assert vec.series0[1] == m.x == F(713, 11)
+    assert vec == character_vector(expand(g, m, 4))
+
+
+@pytest.mark.parametrize("cat, c", [("semion", 1), ("semion", 17), ("fib", F(94, 5))])
+def test_characters_reject_a_tampered_chi00_where_it_is_an_output(cat, c):
+    g, m = genus(category(cat), c), chi_of(cat, c)
+    assert g.ell in (0, 2)
+    characters(g, m, 3)
+    with pytest.raises(ValueError, match="chi inconsistent with ODE at order 0"):
+        characters(g, m._replace(x=m.x + 1), 3)
+
+
+def test_characters_fit_nu_to_chi00_at_ell_four():
+    g, m = genus(category("semion"), 33), chi_of("semion", 33)
+    assert g.ell == 4
+    tampered = characters(g, m._replace(x=m.x + 1), 3)
+    assert tampered.series0[1] == m.x + 1 and tampered != characters(g, m, 3)
+
+
+def test_characters_validate_order_and_ell():
+    g, m = genus(category("semion"), 1), chi_of("semion", 1)
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        characters(g, m, 0)
+    with pytest.raises(ValueError, match="no scalar MLDE for ell = 3"):
+        characters(g._replace(ell=3), m, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from extremal2.chimat import (
@@ -25,6 +26,61 @@ from extremal2.genus import CATALOG
 from conftest import random_charmatrix, random_noninteger_h
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# the schoolbook steps: the Fraction formulas of f_plus and f_minus, one step
+# at a time, as the oracle for the integer kernel behind iterate
+
+
+def schoolbook_plus(m: CharMatrix, h: Fraction) -> tuple[CharMatrix, Fraction]:
+    if h.denominator == 1:
+        raise ValueError(f"h = {h} must not be an integer")
+    if m.z == 0:
+        raise ValueError("not in M-: bottom-left entry is zero")
+    x, y, z, w = m
+    x2 = (w + h * (x - 240)) / (h + 1)
+    y2 = 1 / z
+    z2 = (
+        ((h + 1) ** 2 * (h - 2) * y * z
+         - (x - w + 120 * (h - 1)) ** 2
+         + 746496 * (h + 1) ** 2)
+        / ((h + 2) * (h + 1) ** 2)
+    ) * z
+    w2 = (x + h * (w + 240)) / (h + 1)
+    return CharMatrix(x2, y2, z2, w2), h + 2
+
+
+def schoolbook_minus(m: CharMatrix, h: Fraction) -> tuple[CharMatrix, Fraction]:
+    if h.denominator == 1:
+        raise ValueError(f"h = {h} must not be an integer")
+    if m.y == 0:
+        raise ValueError("not in M+: top-right entry is zero")
+    x, y, z, w = m
+    x2 = (-w + (h - 2) * (x + 240)) / (h - 3)
+    y2 = (
+        (h * (h - 3) ** 2 * y * z
+         + (x - w + 120 * (h - 1)) ** 2
+         - 746496 * (h - 3) ** 2)
+        / ((h - 4) * (h - 3) ** 2)
+    ) * y
+    z2 = 1 / y
+    w2 = (-x + (h - 2) * (w - 240)) / (h - 3)
+    return CharMatrix(x2, y2, z2, w2), h - 2
+
+
+def schoolbook_walk(m: CharMatrix, h: Fraction, steps: int):
+    """Yield (j, state) for j = 1 .. |steps|, the state after j schoolbook
+    steps, or the ValueError of the step that raised, after which it stops."""
+    step = schoolbook_plus if steps > 0 else schoolbook_minus
+    state = (m, F(h))
+    for j in range(1, abs(steps) + 1):
+        try:
+            state = step(*state)
+        except ValueError as exc:
+            yield j, exc
+            return
+        yield j, state
 
 
 def negative_fixture_rows():
@@ -276,3 +332,77 @@ def test_charmatrix_coerces_entries_to_fractions():
 def test_charmatrix_json_roundtrip_property(x, y, z, w):
     m = CharMatrix(x, y, z, w)
     assert CharMatrix.from_json(m.to_json()) == m
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the schoolbook walk
+
+
+def beta_killed_by_one_step(alpha: Fraction, h: Fraction, up: bool) -> Fraction:
+    """The beta = y*z whose image under one step is 0, so the step after it
+    meets a zero off-diagonal entry."""
+    s2 = (alpha + 120 * (h - 1)) ** 2
+    if up:
+        return (s2 - 746496 * (h + 1) ** 2) / ((h + 1) ** 2 * (h - 2))
+    return (746496 * (h - 3) ** 2 - s2) / (h * (h - 3) ** 2)
+
+
+@st.composite
+def walks(draw):
+    """(m, h, steps) with |steps| <= 12.  h may be an integer, the entry a
+    step divides by may be 0, and beta may be tuned to vanish after one step."""
+    h = draw(st.fractions(-20, 20, max_denominator=12))
+    steps = draw(st.integers(-12, 12))
+    x, w = draw(rationals), draw(rationals)
+    pivot, other = draw(rationals), draw(rationals)
+    if pivot and h.denominator != 1 and steps and draw(st.booleans()):
+        other = beta_killed_by_one_step(x - w, h, steps > 0) / pivot
+    m = CharMatrix(x, other, pivot, w) if steps > 0 else CharMatrix(x, pivot, other, w)
+    return m, h, steps
+
+
+def assert_iterate_follows_the_schoolbook(m: CharMatrix, h: Fraction, steps: int) -> None:
+    sign = 1 if steps > 0 else -1
+    for j, state in schoolbook_walk(m, h, steps):
+        if isinstance(state, ValueError):
+            for n in (j, abs(steps)):  # the same error at the same step, and beyond it
+                with pytest.raises(ValueError, match=re.escape(str(state))):
+                    iterate(m, h, sign * n)
+            return
+        assert iterate(m, h, sign * j) == state
+
+
+@given(walks())
+@example((CharMatrix(1, 5, 0, 2), F(1, 4), 3))           # z = 0: f_plus raises at once
+@example((CharMatrix(1, 0, 5, 2), F(1, 4), -3))          # y = 0: f_minus raises at once
+@example((CharMatrix(1, 5, 7, 2), F(3), 2))              # integer h
+@example((CharMatrix(1, 5, 7, 2), F(3), 0))              # steps = 0 checks nothing
+@example((CharMatrix(7, beta_killed_by_one_step(F(5), F(1, 4), True) / 3, 3, 2), F(1, 4), 4))
+@example((CharMatrix(7, 3, beta_killed_by_one_step(F(5), F(1, 4), False) / 3, 2), F(1, 4), -4))
+def test_iterate_is_the_schoolbook_composition(walk):
+    m, h, steps = walk
+    if steps == 0:
+        assert iterate(m, h, 0) == (m, h)
+    else:
+        assert_iterate_follows_the_schoolbook(m, h, steps)
+
+
+def test_tuned_beta_meets_a_zero_entry_at_the_second_step():
+    h = F(1, 4)
+    up = CharMatrix(7, beta_killed_by_one_step(F(5), h, True) / 3, 3, 2)
+    down = CharMatrix(7, 3, beta_killed_by_one_step(F(5), h, False) / 3, 2)
+    assert iterate(up, h, 1)[0].z == 0 and iterate(down, h, -1)[0].y == 0
+    for m, steps in ((up, 2), (down, -2)):
+        with pytest.raises(ValueError, match="entry is zero"):
+            iterate(m, h, steps)
+
+
+def test_iterate_matches_the_schoolbook_walk_from_every_seed():
+    """All 24 seeds, every step within 70 of the seed, and 640 steps out."""
+    for cat in CATALOG:
+        for _, m, h in seed_rows(cat):
+            for sign in (1, -1):
+                for j, state in schoolbook_walk(m, h, 640 * sign):
+                    if j <= 70:
+                        assert iterate(m, h, j * sign) == state
+                assert (j, iterate(m, h, 640 * sign)) == (640, state)

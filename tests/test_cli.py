@@ -329,6 +329,34 @@ def test_catalog_exits_1_on_a_row_that_fails_the_st_check(monkeypatch, capsys):
     assert err.splitlines()[1:] == ["modular S/T check fails for semion"]
 
 
+def test_chi_checks_its_walk_against_the_closed_forms():
+    """Every class, 0 to 30 steps above its seed and 1 to 30 below."""
+    for cat in CATALOG:
+        for c0, _, _ in seed_rows(cat):
+            for steps in (-30, -2, -1, 0, 1, 2, 30):
+                rc, out = run_main("chi", "--category", cat.id, f"--c={c0 + 24 * steps}")
+                assert rc == 0, (cat.id, c0, steps)
+
+
+@pytest.mark.parametrize("c, entry, message", [
+    (49, "x", "chi's diagonal differs from g_closed 2 steps above the class seed"),
+    (-47, "y", "chi's (alpha, beta) differs from k_closed 2 steps below the class seed"),
+])
+def test_chi_exits_1_on_a_tampered_walk(c, entry, message, monkeypatch, capsys):
+    real = cli.chi_of
+
+    def tampered(cat, c):
+        m = real(cat, c)
+        return m._replace(**{entry: getattr(m, entry) + 1})
+
+    monkeypatch.setattr(cli, "chi_of", tampered)
+    assert cli.main(["chi", "--category", "semion", "--c", str(c)]) == 1
+    out, err = capsys.readouterr()
+    m = tampered("semion", c)
+    assert json.loads(out)["chi"] == m.to_json()  # printed as computed
+    assert err.splitlines()[1:] == [message]
+
+
 def test_out_writes_file(tmp_path):
     target = tmp_path / "catalog.json"
     res = run_cli("catalog", "--out", str(target))

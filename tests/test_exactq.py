@@ -110,8 +110,9 @@ def test_mul_inverse_roundtrip_on_random_series(rng):
 
 def test_sigma_against_bruteforce():
     # the Eisenstein coefficients are divisor sums, read off a sieve
-    e4, e6 = eisenstein(4, 65), eisenstein(6, 65)
+    e2, e4, e6 = eisenstein(2, 65), eisenstein(4, 65), eisenstein(6, 65)
     for n in range(1, 65):
+        assert e2[n] == -24 * sigma_oracle(n, 1)
         assert e4[n] == 240 * sigma_oracle(n, 3)
         assert e6[n] == -504 * sigma_oracle(n, 5)
 
@@ -121,6 +122,7 @@ def test_eisenstein_small_expansions():
     assert eisenstein(4, 3) == [1, 240, 2160]
     assert eisenstein(6, 2) == [1, -504 * sigma_oracle(1, 5)]
     assert eisenstein(4, 1) == [1]
+    assert eisenstein(2, 4) == [1, -24, -72, -96]
 
 
 def test_eisenstein_validates_arguments():

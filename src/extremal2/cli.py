@@ -23,7 +23,7 @@ from typing import NoReturn
 from . import __version__, bounds, classify
 from .charser import character_vector, expand
 from .chimat import CharMatrix, alpha_beta, chi_of, g_closed, k_closed, seed_rows
-from .genus import CATALOG, Surd, category, genus, modular_rep_check
+from .genus import CATALOG, Genus, Surd, category, genus, modular_rep_check
 from .reedmuller import (
     lemma6_scan,
     min_weight_rm46,
@@ -83,11 +83,13 @@ def classify_data(rows: list[classify.CandidateOutcome], only: str | None = None
     ])
 
 
-def character_data(cat_id: str, c: Fraction, order: int) -> dict:
+def character_data(cat_id: str, c: Fraction, order: int, m: CharMatrix | None = None) -> dict:
+    """The character vector through ``order``, expanded from ``m``, the
+    walk's matrix at c (walked here when not given)."""
     cat = category(cat_id)
     g = genus(cat, c)
     # expand, not charser.characters: perfbench deep's peak_rss_mib counts its kept responses
-    vec = character_vector(expand(g, chi_of(cat, c), order))
+    vec = character_vector(expand(g, chi_of(cat, c) if m is None else m, order))
     return _encode({
         "category": cat.id,
         "c": c,
@@ -98,22 +100,19 @@ def character_data(cat_id: str, c: Fraction, order: int) -> dict:
     })
 
 
-def chi_data(cat_id: str, c: Fraction, m: CharMatrix) -> dict:
-    cat = category(cat_id)
-    g = genus(cat, c)
-    return _encode({"category": cat.id, "c": c, "h_ext": g.h_ext, "chi": m})
+def chi_data(g: Genus, m: CharMatrix) -> dict:
+    return _encode({"category": g.category.id, "c": g.c, "h_ext": g.h_ext, "chi": m})
 
 
-def _walk_failure(cat_id: str, c: Fraction, m: CharMatrix) -> str | None:
-    """What contradicts ``m``, the walk's matrix at c, in the closed forms
+def _walk_failure(g: Genus, m: CharMatrix) -> str | None:
+    """What contradicts ``m``, the walk's matrix at g.c, in the closed forms
     from its class seed, or None: n steps above the seed its diagonal must
     be ``g_closed``'s, below it its ``alpha_beta`` ``k_closed``'s."""
-    h = genus(category(cat_id), c).h_ext
-    c0, m0, h0 = next(row for row in seed_rows(cat_id) if (c - row[0]) % 24 == 0)
-    n = int((c - c0) / 24)
-    if n >= 0 and g_closed(m0.x, m0.w, h0, n) != (m.x, m.w, h):
+    c0, m0, h0 = next(row for row in seed_rows(g.category) if (g.c - row[0]) % 24 == 0)
+    n = int((g.c - c0) / 24)
+    if n >= 0 and g_closed(m0.x, m0.w, h0, n) != (m.x, m.w, g.h_ext):
         return f"chi's diagonal differs from g_closed {n} steps above the class seed"
-    if n < 0 and k_closed(alpha_beta(m0), h0, -n) != (alpha_beta(m), h):
+    if n < 0 and k_closed(alpha_beta(m0), h0, -n) != (alpha_beta(m), g.h_ext):
         return f"chi's (alpha, beta) differs from k_closed {-n} steps below the class seed"
     return None
 
@@ -412,8 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     only = getattr(args, "category", None)
     try:
         cat = None if only is None else category(only)
-        if args.command in ("character", "chi"):
-            genus(cat, args.c)
+        g = genus(cat, args.c) if args.command in ("character", "chi") else None
         if getattr(args, "order", 1) < 1:
             raise ValueError("--order must be at least 1")
         if getattr(args, "order", 1) + 2 > sys.maxsize:  # order + 2 terms must size a list
@@ -421,8 +419,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         args.subparser.error(str(exc))
 
-    # catalog, classify, chi and rm verify check their own result, in every
-    # format and with or without --check; ``failure`` says what is wrong with it
+    # every request but bounds checks its own result, in every format and
+    # with or without --check; ``failure`` says what is wrong with it
     md = fixture = failure = None
     if args.command == "catalog":
         data, fixture = catalog_data(), "catalog.json"
@@ -436,14 +434,16 @@ def main(argv: list[str] | None = None) -> int:
         data, fixture = classify_data(rows, only), "classify.json"
         if not classify.matches_golden(rows):
             failure = "classification differs from the embedded golden table"
-    elif args.command == "character":
-        try:
-            data, md = character_data(only, args.c, args.order), _render_character_md
-        except MemoryError:  # at once, when order + 2 terms cannot be allocated
-            args.subparser.error(f"--order {args.order} needs more memory than is available")
-    elif args.command == "chi":
+    elif args.command in ("character", "chi"):
         m = chi_of(cat, args.c)
-        data, failure = chi_data(only, args.c, m), _walk_failure(only, args.c, m)
+        failure = _walk_failure(g, m)
+        if args.command == "chi":
+            data = chi_data(g, m)
+        else:
+            try:
+                data, md = character_data(only, args.c, args.order, m), _render_character_md
+            except MemoryError:  # at once, when order + 2 terms cannot be allocated
+                args.subparser.error(f"--order {args.order} needs more memory than is available")
     else:
         data, md, fixture = rm_data(), _render_rm_md, "rm_verify.json"
         if not _certified(data):

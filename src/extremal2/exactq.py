@@ -13,7 +13,7 @@ E = E4*E6/Delta = q^-1 - 240 - 141444q - ... (``ode_series``).
 
 from __future__ import annotations
 
-__all__ = ["ode_series", "eisenstein", "delta", "j_and_script_e"]
+__all__ = ["ode_series", "eisenstein", "delta"]
 
 
 def _mul(a: list[int], b: list[int]) -> list[int]:
@@ -85,17 +85,3 @@ def delta(n_terms: int) -> list[int]:
     """The discriminant form (E4^3 - E6^2)/1728 from q^0 on; its lead term is q."""
     return _forms(n_terms)[2]
 
-
-def j_and_script_e(n_terms: int) -> tuple[list[int], list[int]]:
-    """The pair (J, E) with ``n_terms`` coefficients each, from q^-1 on.
-
-    J = E4^3/Delta - 744 has vanishing constant term and first positive
-    coefficient 196884; E = E4*E6/Delta starts q^-1 - 240 - 141444q.
-    """
-    if n_terms < 2:
-        raise ValueError("need at least two terms")
-    e4_cubed, e4e6, dlt = _forms(n_terms + 1)
-    j = _div(e4_cubed, dlt[1:])  # Delta/q has constant term 1
-    j[1] -= 744
-    script_e = _div(e4e6, dlt[1:])
-    return j, script_e

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from extremal2.chimat import CharMatrix
+from extremal2.exactq import _div, _mul, ode_series
 
 # Filled by the acceptance tests; printed after the run so the one-line
 # per-criterion report survives pytest's output capture.
@@ -42,3 +43,14 @@ def random_charmatrix(rng: random.Random) -> CharMatrix:
                 return v
 
     return CharMatrix(random_fraction(rng), nonzero(), nonzero(), random_fraction(rng))
+
+
+def j_and_script_e(n_terms: int) -> tuple[list[int], list[int]]:
+    """J and E, ``n_terms`` coefficients each from q^-1 on, read back off the
+    series the recursion consumes: with a = (J - 240)/E and b = 1/E from
+    ``ode_series``, qE = 1/(b/q) and qJ = a qE + 240q."""
+    a, b = ode_series(n_terms + 1)
+    q_e = _div([1] + [0] * (n_terms - 1), b[1:])
+    q_j = _mul(a, q_e)
+    q_j[1] += 240
+    return q_j, q_e

@@ -236,6 +236,20 @@ MUTANTS = (
         ("tests/test_cli.py::test_negative_c_forms_that_parse_and_one_that_does_not",),
     ),
     Mutant(
+        "walk-self-check-dropped", "cli",
+        "failure = _walk_failure(g, m)",
+        "_ = _walk_failure(g, m)",
+        ("tests/test_cli.py::test_character_exits_1_on_a_tampered_walk[above]",
+         "tests/test_cli.py::test_character_exits_1_on_a_tampered_walk[below]"),
+    ),
+    Mutant(
+        "ode-series-984-to-985", "exactq",
+        "x - 984 * d",
+        "x - 985 * d",
+        ("tests/test_acceptance.py::test_criterion_07_series_anchors",
+         "tests/test_exactq.py::test_ode_series_against_oracles"),
+    ),
+    Mutant(
         "rm-self-check-dropped", "cli",
         'failure = "the binary-code certificate does not hold"',
         '_ = "the binary-code certificate does not hold"',

@@ -36,7 +36,6 @@ from extremal2.chimat import (
     seed_rows,
 )
 from extremal2.classify import classify_all, first_column_admissible, survey
-from extremal2.exactq import j_and_script_e
 from extremal2.genus import CATALOG, category, genus
 from extremal2.reedmuller import (
     construction_xi,
@@ -50,7 +49,7 @@ from extremal2.reedmuller import (
     weight_enumerator,
 )
 
-from conftest import ACCEPTANCE_REPORT, random_charmatrix, random_noninteger_h
+from conftest import ACCEPTANCE_REPORT, j_and_script_e, random_charmatrix, random_noninteger_h
 
 F = Fraction
 
@@ -196,6 +195,7 @@ def test_criterion_06_ode_cross_validation():
 
 
 def test_criterion_07_series_anchors():
+    # read back off ode_series, the two series the recursion consumes
     j, script_e = j_and_script_e(3)  # coefficients of q^-1, q^0, q^1
     ok = j == [1, 0, 196884]
     ok = ok and script_e == [1, -240, -141444]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from extremal2 import charser
+from extremal2 import charser, exactq
 from extremal2.charser import (
     COSET_CHARACTER,
     EXTENSION_CHARACTER,
@@ -23,7 +23,7 @@ from extremal2.charser import (
 )
 from extremal2.chimat import CharMatrix, chi_of, f_plus, seed, seed_rows
 from extremal2.classify import candidates, classify_all
-from extremal2.exactq import ode_series
+from extremal2.exactq import delta, eisenstein, ode_series
 from extremal2.genus import CATALOG, category, genus
 
 F = Fraction
@@ -362,6 +362,24 @@ def test_holomorphic_sum_check_printed_values():
     # the weight-2 component ends where the vacuum component does, so the
     # sum covers the whole extension window
     assert _series_sum(COSET_CHARACTER[0], COSET_CHARACTER[3]) == EXTENSION_CHARACTER
+
+
+def test_extension_character_is_e4_times_e4_cubed_less_992_delta_over_eta32():
+    """E4 (E4^3 - 992 Delta) / eta^32, whose q^(32/24) gives the offset -4/3,
+    starts 1, 0, 139504, 69332992, 6998296696, 330022830080: the stored
+    four terms are its first four."""
+    n = 6
+    e4, dlt = eisenstein(4, n), delta(n)
+    eta32 = [1] + [0] * (n - 1)  # prod (1 - q^k)^32
+    for k in range(1, n):
+        factor = [1] + [0] * (n - 1)
+        factor[k] = -1
+        for _ in range(32):
+            eta32 = exactq._mul(eta32, factor)
+    e4_cubed = exactq._mul(exactq._mul(e4, e4), e4)
+    numerator = exactq._mul(e4, [x - 992 * d for x, d in zip(e4_cubed, dlt)])
+    series = exactq._div(numerator, eta32)
+    assert EXTENSION_CHARACTER == (F(-4, 3), tuple(series[:4]))
 
 
 def test_mismatches_and_a_failing_coset_sum(monkeypatch):

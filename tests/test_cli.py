@@ -338,10 +338,13 @@ def test_chi_checks_its_walk_against_the_closed_forms():
                 assert rc == 0, (cat.id, c0, steps)
 
 
-@pytest.mark.parametrize("c, entry, message", [
+TAMPERED_WALKS = [
     (49, "x", "chi's diagonal differs from g_closed 2 steps above the class seed"),
     (-47, "y", "chi's (alpha, beta) differs from k_closed 2 steps below the class seed"),
-])
+]
+
+
+@pytest.mark.parametrize("c, entry, message", TAMPERED_WALKS)
 def test_chi_exits_1_on_a_tampered_walk(c, entry, message, monkeypatch, capsys):
     real = cli.chi_of
 
@@ -354,6 +357,26 @@ def test_chi_exits_1_on_a_tampered_walk(c, entry, message, monkeypatch, capsys):
     out, err = capsys.readouterr()
     m = tampered("semion", c)
     assert json.loads(out)["chi"] == m.to_json()  # printed as computed
+    assert err.splitlines()[1:] == [message]
+
+
+@pytest.mark.parametrize("c, entry, message", TAMPERED_WALKS, ids=["above", "below"])
+def test_character_exits_1_on_a_tampered_walk(c, entry, message, monkeypatch, capsys):
+    real, walks = cli.chi_of, []
+
+    def tampered(cat, c):
+        walks.append(c)
+        m = real(cat, c)
+        return m._replace(**{entry: getattr(m, entry) + 1})
+
+    monkeypatch.setattr(cli, "chi_of", tampered)
+    assert cli.main(["character", "--category", "semion", "--c", str(c), "--order", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert walks == [c]  # one walk, both checked and expanded
+    m = tampered("semion", c)
+    printed = json.loads(out)
+    assert printed == cli.character_data("semion", Fraction(c), 4, m)  # as computed
+    assert printed != cli.character_data("semion", Fraction(c), 4, real("semion", c))
     assert err.splitlines()[1:] == [message]
 
 

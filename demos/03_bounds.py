@@ -14,7 +14,7 @@ from extremal2.bounds import (
     nmax_positive,
     positive_threshold_witness,
 )
-from extremal2.chimat import seed
+from extremal2.chimat import seed_rows
 from extremal2.genus import CATALOG
 
 for cat in CATALOG:
@@ -22,7 +22,7 @@ for cat in CATALOG:
     print(f"{cat.id:18s} c in [{c_min}, {c_max}]")
 
 print()
-c, chi, h = seed("semion", 1)
+c, chi, h = seed_rows("semion")[1]
 print(f"example: semion class c = {c}")
 print(f"  n_max = {nmax_positive(chi, h)}")
 print(f"  threshold witness = {positive_threshold_witness(chi, h)} "

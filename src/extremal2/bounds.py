@@ -2,9 +2,9 @@
 
 Two one-sided arguments turn the recurrence into a finite search window:
 
-* positive side: along c -> c + 24n the diagonal iterate makes chi_00
-  eventually negative; the published per-class cutoff n_max is the sign
-  change of the concave quadratic
+* positive side: along c -> c + 24n from each class seed (``seed_rows``)
+  the diagonal iterate makes chi_00 eventually negative; the published
+  per-class cutoff n_max is the sign change of the concave quadratic
 
       Qt(n) = -240 n^2 + |M| n + |(h - 1) chi_00|,
       M = chi_00 + chi_11 - 240 (h - 1),
@@ -13,9 +13,10 @@ Two one-sided arguments turn the recurrence into a finite search window:
   sign test is decided in exact rational arithmetic; no square roots are
   ever evaluated.
 
-* negative side: once h < 0, beta > 1 and |chi_10| <= 1 hold, |beta| stays
-  above 1 (so chi_10 can never again be an integer) for every
-  n > |alpha - 120(1-h)| (1-h) / 860, an exactly rational threshold.
+* negative side: ``negative_base_point`` steps c -> c - 24 (``iterate``)
+  from each class seed until h < 0, beta > 1 and |chi_10| <= 1 hold; from
+  there |beta| stays above 1 (so chi_10 can never again be an integer) for
+  every n > |alpha - 120(1-h)| (1-h) / 860, an exactly rational threshold.
 
 ``c_extremes`` combines the 3 classes per category into (c_min, c_max).
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .chimat import CharMatrix, alpha_beta, f_minus, seed, seed_rows
+from .chimat import CharMatrix, alpha_beta, iterate, seed_rows
 from .genus import CATALOG, CategoryInfo
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "negative_threshold",
     "negative_base_point",
     "c_extremes",
-    "silly_estimate_holds",
     "positive_table",
     "negative_table",
 ]
@@ -118,16 +118,16 @@ def nmax_negative(m: CharMatrix, h: Fraction) -> int:
 def negative_base_point(
     cat: CategoryInfo | str, class_index: int
 ) -> tuple[Fraction, CharMatrix, Fraction]:
-    """Walk f_minus from the class seed until the negative-side hypotheses hold.
+    """Step c -> c - 24 from the class seed until the negative-side hypotheses hold.
 
     Returns the first (c, chi, h) with h < 0, beta > 1 and |chi_10| <= 1;
     these are the per-class base points the lower bound is anchored at.
     """
-    c, m, h = seed(cat, class_index)
+    c, m, h = seed_rows(cat)[class_index]
     for _ in range(64):
         if h < 0 and alpha_beta(m).beta > 1 and abs(m.z) <= 1:
             return c, m, h
-        m, h = f_minus(m, h)
+        m, h = iterate(m, h, -1)
         c -= 24
     raise RuntimeError("no valid negative-side base point within 64 steps")
 
@@ -142,28 +142,11 @@ def c_extremes(cat: CategoryInfo | str) -> tuple[Fraction, Fraction]:
     return c_min, c_max
 
 
-def silly_estimate_holds(
-    A: Fraction, B: Fraction, C: Fraction, n: Fraction
-) -> bool:
-    """Sufficient condition A n^2 > 2 B (1 + C^2) for A n^4 > B (n + C)^2.
-
-    All four arguments must be positive with n >= 1; the caller relies on
-    the implication, never on necessity.
-    """
-    A, B, C, n = (Fraction(v) for v in (A, B, C, n))
-    if min(A, B, C, n) <= 0:
-        raise ValueError("all arguments must be positive")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return A * n * n > 2 * B * (1 + C * C)
-
-
 def positive_table() -> list[dict]:
     """The 24 positive-side rows (category x class, ascending class c)."""
     rows = []
     for cat in CATALOG:
-        for i in range(3):
-            c, m, h = seed(cat, i)
+        for c, m, h in seed_rows(cat):
             rows.append(
                 {
                     "category": cat.id,

@@ -2,27 +2,28 @@
 
 A characteristic matrix chi holds the constant terms of the fundamental
 matrix of a genus; its first column is (dim V(1), dim M(h)) for any VOA
-realizing the genus.  ``f_plus``/``f_minus`` advance (chi, h) one step of
-24 in the central charge, exactly and invertibly.  ``g_closed`` is the
-n-fold iterate of the diagonal restriction g of f_plus (enough to control
-chi_00 for large positive c), and ``k_closed`` the n-fold iterate of the
-map k that evolves the reduced pair (alpha, beta) = (chi_00 - chi_11,
-chi_10 * chi_01) under c -> c - 24; their n = 1 cases are g and k.
+realizing the genus.  ``iterate`` advances (chi, h) by any number of steps
+of 24 in the central charge, exactly and invertibly: its one-step cases
+are the paper's maps f+ (c -> c + 24) and f- (c -> c - 24).  ``g_closed``
+is the n-fold iterate of the diagonal restriction g of f+ (enough to
+control chi_00 for large positive c), and ``k_closed`` the n-fold iterate
+of the map k that evolves the reduced pair (alpha, beta) = (chi_00 -
+chi_11, chi_10 * chi_01) under f-; their n = 1 cases are g and k.
 
-``iterate`` is the one integer kernel behind both steps (``f_plus`` and
-``f_minus`` are its one-step cases).  With h = p/q, whose denominator q
-never changes, it carries x and w as integers over one denominator d, the
-product beta = y*z as a reduced integer pair, and the off-diagonal entry
-that the step divides by (z going up, y going down) as a running integer
-product: each step multiplies it by beta' and hands its reciprocal to the
-other entry.  Each step spends one gcd on (x, w, d), one on beta and a
-cross-cancellation against beta' on the running product, so the big
-numbers only meet small ones; Fractions are built once, at the end.
+``iterate`` is one integer kernel for both directions.  With h = p/q,
+whose denominator q never changes, it carries x and w as integers over
+one denominator d, the product beta = y*z as a reduced integer pair, and
+the off-diagonal entry that the step divides by (z going up, y going
+down) as a running integer product: each step multiplies it by beta' and
+hands its reciprocal to the other entry.  Each step spends one gcd on
+(x, w, d), one on beta and a cross-cancellation against beta' on the
+running product, so the big numbers only meet small ones; Fractions are
+built once, at the end.
 
-``seed`` hands out exact characteristic matrices for one representative of
-each of the three admissible classes of c mod 24 per category; all other
-matrices in the pipeline are reached from these 24 by iteration, and
-``chi_of`` walks from the class seed to any admissible c.
+``seed_rows`` hands out exact characteristic matrices for one
+representative of each of the three admissible classes of c mod 24 per
+category; all other matrices in the pipeline are reached from these 24 by
+iteration, and ``chi_of`` walks from the class seed to any admissible c.
 """
 
 from __future__ import annotations
@@ -37,13 +38,10 @@ from .genus import CategoryInfo, category, genus
 __all__ = [
     "CharMatrix",
     "AlphaBeta",
-    "f_plus",
-    "f_minus",
     "iterate",
     "g_closed",
     "alpha_beta",
     "k_closed",
-    "seed",
     "seed_rows",
     "chi_of",
 ]
@@ -63,20 +61,11 @@ class CharMatrix(namedtuple("CharMatrix", "x y z w")):
         # the inherited _make, which _replace builds through, skips __new__
         return cls(*iterable)
 
-    @classmethod
-    def from_rows(cls, rows) -> "CharMatrix":
-        (x, y), (z, w) = rows
-        return cls(x, y, z, w)
-
     def first_column(self) -> tuple[Fraction, Fraction]:
         return (self.x, self.z)
 
     def to_json(self) -> dict[str, str]:
         return {k: str(v) for k, v in zip(self._fields, self)}
-
-    @classmethod
-    def from_json(cls, data: dict[str, str]) -> "CharMatrix":
-        return cls(*(data[k] for k in cls._fields))
 
     def __str__(self) -> str:
         return f"[[{self.x}, {self.y}], [{self.z}, {self.w}]]"
@@ -96,34 +85,24 @@ def _require_noninteger(h: Fraction) -> Fraction:
     return h
 
 
-def f_plus(m: CharMatrix, h: Fraction) -> tuple[CharMatrix, Fraction]:
-    """Advance (chi, h) at central charge c to its values at c + 24.
-
-    With alpha = x - w, beta = y*z and s = alpha + 120(h - 1) the step is
-    x' = (w + h(x - 240))/(h + 1), w' = (x + h(w + 240))/(h + 1),
-    y' = 1/z, z' = beta' z with
-    beta' = ((h + 1)^2 (h - 2) beta - s^2 + 746496 (h + 1)^2) / ((h + 2)(h + 1)^2),
-    and h' = h + 2.  Requires a nonzero bottom-left entry and non-integer h
-    (which keeps the denominators h+1 and h+2 away from zero).
-    """
-    return iterate(m, h, 1)
-
-
-def f_minus(m: CharMatrix, h: Fraction) -> tuple[CharMatrix, Fraction]:
-    """Advance (chi, h) at central charge c to its values at c - 24.
-
-    The inverse of :func:`f_plus`: in its notation
-    x' = (-w + (h - 2)(x + 240))/(h - 3), w' = (-x + (h - 2)(w - 240))/(h - 3),
-    z' = 1/y, y' = beta' y with
-    beta' = (h (h - 3)^2 beta + s^2 - 746496 (h - 3)^2) / ((h - 4)(h - 3)^2),
-    and h' = h - 2.  Requires a nonzero top-right entry and non-integer h
-    (keeping h-3 and h-4 away from zero).
-    """
-    return iterate(m, h, -1)
-
-
 def iterate(m: CharMatrix, h: Fraction, steps: int) -> tuple[CharMatrix, Fraction]:
-    """Compose |steps| applications of f_plus (steps > 0) or f_minus (< 0).
+    """Compose |steps| applications of f+ (steps > 0) or f- (steps < 0).
+
+    With alpha = x - w, beta = y*z and s = alpha + 120(h - 1), f+ takes
+    (chi, h) at c to its values at c + 24:
+
+        x' = (w + h(x - 240))/(h + 1),  w' = (x + h(w + 240))/(h + 1),
+        y' = 1/z,  z' = beta' z,  h' = h + 2,
+        beta' = ((h + 1)^2 (h - 2) beta - s^2 + 746496 (h + 1)^2) / ((h + 2)(h + 1)^2),
+
+    and needs z != 0.  Its inverse f- takes c to c - 24:
+
+        x' = (-w + (h - 2)(x + 240))/(h - 3),  w' = (-x + (h - 2)(w - 240))/(h - 3),
+        z' = 1/y,  y' = beta' y,  h' = h - 2,
+        beta' = (h (h - 3)^2 beta + s^2 - 746496 (h - 3)^2) / ((h - 4)(h - 3)^2),
+
+    and needs y != 0.  Both need a non-integer h, which keeps every
+    denominator away from zero.
 
     One integer kernel runs both directions.  With h = p/q, x = X/d,
     w = W/d and beta = b/b', a step up takes (e, r, t, v, sigma) =
@@ -133,10 +112,10 @@ def iterate(m: CharMatrix, h: Fraction, steps: int) -> tuple[CharMatrix, Fractio
         X' = sigma q W + r (X - 240 sigma d),  W' = sigma q X + r (W + 240 sigma d),
         d' = e d,  beta' = (t e^2 d^2 b + q b' (746496 e^2 d^2 - S^2)) / (v e^2 d^2 b'),
 
-    the formulas of f_plus and f_minus times q^3 d^2 b' (f_minus's beta'
-    also negated above and below).  The pivot, z going up and y going
-    down, becomes beta' times itself and the other off-diagonal entry its
-    old reciprocal.  ``steps == 0`` returns (m, h) unchecked.
+    the formulas above times q^3 d^2 b' (f-'s beta' also negated above
+    and below).  The pivot, z going up and y going down, becomes beta'
+    times itself and the other off-diagonal entry its old reciprocal.
+    ``steps == 0`` returns (m, h) unchecked.
     """
     h = Fraction(h)
     if steps == 0:
@@ -181,7 +160,7 @@ def iterate(m: CharMatrix, h: Fraction, steps: int) -> tuple[CharMatrix, Fractio
 def g_closed(
     x: Fraction, w: Fraction, h: Fraction, n: int
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """The diagonal (chi00, chi11) after n >= 0 f_plus steps c -> c + 24, in closed form."""
+    """The diagonal (chi00, chi11) after n >= 0 f+ steps c -> c + 24, in closed form."""
     if n < 0:
         raise ValueError("n must be non-negative")
     h = _require_noninteger(h)
@@ -200,7 +179,7 @@ def alpha_beta(m: CharMatrix) -> AlphaBeta:
 
 
 def k_closed(ab: AlphaBeta, h: Fraction, n: int) -> tuple[AlphaBeta, Fraction]:
-    """The pair (alpha, beta) after n >= 0 f_minus steps c -> c - 24, in closed form."""
+    """The pair (alpha, beta) after n >= 0 f- steps c -> c - 24, in closed form."""
     if n < 0:
         raise ValueError("n must be non-negative")
     h = _require_noninteger(h)
@@ -266,22 +245,11 @@ _SEEDS: dict[str, tuple[tuple[Fraction, tuple[tuple[int, int], tuple[int, int]],
 }
 
 
-def seed(cat: CategoryInfo | str, class_index: int) -> tuple[Fraction, CharMatrix, Fraction]:
-    """Seed (c, chi(c), h_ext(c)) for one class of c mod 24.
-
-    ``class_index`` 0..2 orders the three classes by ascending
-    representative c.
-    """
-    rows = _SEEDS[category(cat).id]
-    if class_index not in (0, 1, 2):
-        raise ValueError("class_index must be 0, 1 or 2")
-    c, rows_m, h = rows[class_index]
-    return c, CharMatrix.from_rows(rows_m), h
-
-
 def seed_rows(cat: CategoryInfo | str) -> tuple[tuple[Fraction, CharMatrix, Fraction], ...]:
-    """All three seeds of a category in class order."""
-    return tuple(seed(cat, i) for i in range(3))
+    """The three seeds (c, chi(c), h_ext(c)) of a category, one per class of
+    c mod 24, in order of ascending representative c."""
+    return tuple((c, CharMatrix(x, y, z, w), h)
+                 for c, ((x, y), (z, w)), h in _SEEDS[category(cat).id])
 
 
 def chi_of(cat: CategoryInfo | str, c: Fraction | int) -> CharMatrix:

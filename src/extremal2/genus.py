@@ -29,7 +29,6 @@ __all__ = [
     "category",
     "is_admissible",
     "h_ext",
-    "ell_general",
     "genus",
     "modular_rep_check",
 ]
@@ -138,18 +137,6 @@ def h_ext(cat: CategoryInfo, c: Fraction | int) -> Fraction:
     return cat.h_mod1 + math.floor(upper - cat.h_mod1)
 
 
-def ell_general(n: int, c: Fraction | int, h: list[Fraction]) -> Fraction:
-    """binom(n,2) + n*c/4 - 6*sum(h_j) for a putative n-module spectrum.
-
-    ``h`` lists the n-1 non-vacuum weights (the vacuum contributes h_0 = 0).
-    """
-    if n < 1:
-        raise ValueError("need at least the vacuum module")
-    if len(h) != n - 1:
-        raise ValueError(f"expected {n - 1} non-vacuum weights, got {len(h)}")
-    return Fraction(n * (n - 1), 2) + n * Fraction(c) / 4 - 6 * sum(h, Fraction(0))
-
-
 class Genus(NamedTuple):
     """A category together with an admissible central charge.
 
@@ -172,7 +159,7 @@ def genus(cat: CategoryInfo, c: Fraction | int) -> Genus:
     h = h_ext(cat, c)
     if h.denominator == 1:
         raise ValueError(f"extremal weight {h} must not be an integer")
-    ell = ell_general(2, c, [h])
+    ell = 1 + c / 2 - 6 * h
     if ell.denominator != 1:
         raise ValueError(f"ell = {ell} is not an integer for ({cat.id}, {c})")
     return Genus(cat, c, h, int(ell), 1 - c / 24, h - c / 24)

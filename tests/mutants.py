@@ -175,6 +175,33 @@ MUTANTS = (
          "tests/test_acceptance.py::test_criterion_04_c_extremes"),
     ),
     Mutant(
+        "negative-base-point-steps-up", "bounds",
+        "m, h = iterate(m, h, -1)",
+        "m, h = iterate(m, h, 1)",
+        ("tests/test_bounds.py::test_negative_base_points_are_one_step_down",
+         "tests/test_bounds.py::test_negative_table_matches_fixture_and_all_zero",
+         "tests/test_bounds.py::test_c_extremes_golden_values",
+         "tests/test_acceptance.py::test_criterion_03_golden_bound_tables"),
+    ),
+    Mutant(
+        "seed-rows-swap-top-and-bottom", "chimat",
+        "for c, ((x, y), (z, w)), h in _SEEDS",
+        "for c, ((z, w), (x, y)), h in _SEEDS",
+        ("tests/test_chimat.py::test_seed_examples",
+         "tests/test_chimat.py::test_negative_table_rows_derived_from_seeds",
+         "tests/test_bounds.py::test_positive_table_matches_fixture",
+         "tests/test_classify.py::test_classification_matches_golden_table",
+         "tests/test_acceptance.py::test_criterion_01_golden_classification"),
+    ),
+    Mutant(
+        "ell-with-five-h", "genus",
+        "ell = 1 + c / 2 - 6 * h",
+        "ell = 1 + c / 2 - 5 * h",
+        ("tests/test_genus.py::test_ell_examples",
+         "tests/test_genus.py::test_ell_is_small_integer_everywhere",
+         "tests/test_genus.py::test_exponent_matrix_examples"),
+    ),
+    Mutant(
         "stale-all-entry", "reedmuller",
         '    "construction_xi",\n]',
         '    "construction_xi",\n    "_dual_byte_tables",\n]',

@@ -29,9 +29,8 @@ from extremal2.charser import (
 )
 from extremal2.chimat import (
     alpha_beta,
-    f_minus,
-    f_plus,
     g_closed,
+    iterate,
     k_closed,
     seed_rows,
 )
@@ -143,20 +142,20 @@ def test_criterion_05_recurrence_properties():
     ok = True
     for cat in CATALOG:
         for _, m, h in seed_rows(cat):
-            ok = ok and f_plus(*f_minus(m, h)) == (m, h)
-            ok = ok and f_minus(*f_plus(m, h)) == (m, h)
+            ok = ok and iterate(*iterate(m, h, -1), 1) == (m, h)
+            ok = ok and iterate(*iterate(m, h, 1), -1) == (m, h)
     rng = random.Random(20240)
     count = 0
     while count < 200:
         m = random_charmatrix(rng)
         h = random_noninteger_h(rng)
-        down, hd = f_minus(m, h)
-        up, hu = f_plus(m, h)
+        down, hd = iterate(m, h, -1)
+        up, hu = iterate(m, h, 1)
         if down.y == 0 or down.z == 0 or up.y == 0 or up.z == 0:
             continue
         count += 1
-        ok = ok and f_plus(down, hd) == (m, h) and f_minus(up, hu) == (m, h)
-        # the closed forms at n = 1 are the diagonal of f_plus and alpha_beta of f_minus
+        ok = ok and iterate(down, hd, 1) == (m, h) and iterate(up, hu, -1) == (m, h)
+        # the closed forms at n = 1 are the diagonal of f+ and alpha_beta of f-
         ok = ok and g_closed(m.x, m.w, h, 1) == (up.x, up.w, hu)
         ok = ok and k_closed(alpha_beta(m), h, 1) == (alpha_beta(down), hd)
     for _ in range(10):

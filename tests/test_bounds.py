@@ -18,12 +18,9 @@ from extremal2.bounds import (
     positive_table,
     negative_table,
     positive_threshold_witness,
-    silly_estimate_holds,
 )
-from extremal2.chimat import CharMatrix, alpha_beta, f_minus, iterate, seed, seed_rows
+from extremal2.chimat import CharMatrix, alpha_beta, iterate, seed_rows
 from extremal2.genus import CATALOG, category
-
-from conftest import random_fraction
 
 F = Fraction
 
@@ -197,8 +194,7 @@ def test_negative_table_matches_fixture_and_all_zero():
 
 def test_negative_base_points_are_one_step_down():
     for cat in CATALOG:
-        for i in range(3):
-            c_seed, _, h_seed = seed(cat, i)
+        for i, (c_seed, _, h_seed) in enumerate(seed_rows(cat)):
             c, m, h = negative_base_point(cat, i)
             assert c == c_seed - 24
             assert h == h_seed - 2 and h < 0
@@ -212,13 +208,13 @@ def test_chi10_stays_small_under_further_descent():
             _, m, h = negative_base_point(cat, i)
             state = (m, h)
             for _ in range(5):
-                state = f_minus(*state)
+                state = iterate(*state, -1)
                 assert abs(state[0].z) < 1
                 assert state[0].z != 0
 
 
 # ---------------------------------------------------------------------------
-# combined window and the simple estimate
+# combined window
 
 
 def test_c_extremes_golden_values():
@@ -231,29 +227,3 @@ def test_semion_class0_negative_side():
     assert c == -23
     assert nmax_negative(m, h) == 0
     assert negative_threshold(m, h) == F(6, 43)
-
-
-def test_silly_estimate_examples():
-    assert silly_estimate_holds(F(3), F(1), F(1), F(2))
-    assert 3 * 2**4 > 1 * (2 + 1) ** 2
-    assert not silly_estimate_holds(F(1), F(1), F(1), F(1))
-
-
-def test_silly_estimate_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        silly_estimate_holds(F(1), F(-1), F(1), F(2))
-    with pytest.raises(ValueError):
-        silly_estimate_holds(F(1), F(1), F(1), F(1, 2))
-
-
-def test_silly_estimate_implication_on_randoms(rng):
-    hits = 0
-    for _ in range(400):
-        A = abs(random_fraction(rng)) + 1
-        B = abs(random_fraction(rng, span=20, den=5)) + F(1, 7)
-        C = abs(random_fraction(rng, span=3, den=4)) + F(1, 7)
-        n = 1 + abs(random_fraction(rng, span=8, den=5))
-        if silly_estimate_holds(A, B, C, n):
-            hits += 1
-            assert A * n**4 > B * (n + C) ** 2
-    assert hits > 50  # the positive branch is actually exercised

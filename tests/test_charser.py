@@ -21,7 +21,7 @@ from extremal2.charser import (
     coset_extension_sum_check,
     expand,
 )
-from extremal2.chimat import CharMatrix, chi_of, f_plus, seed, seed_rows
+from extremal2.chimat import CharMatrix, chi_of, iterate, seed_rows
 from extremal2.classify import candidates, classify_all
 from extremal2.exactq import delta, eisenstein, ode_series
 from extremal2.genus import CATALOG, category, genus
@@ -188,12 +188,12 @@ def test_semion_c1_hand_values():
 
 
 def test_step_up_compatibility_on_surviving_genera():
-    """f_plus constants agree with the expansion: y+ = 1/z0 and w+ = z1/z0."""
+    """f+ constants agree with the expansion: y+ = 1/z0 and w+ = z1/z0."""
     for row in classify_all():
         g = genus(row.category, row.c)
         e = expand(g, row.chi, 2)
         z0, z1 = row.chi.z, e.matrix(1)[1][0]
-        up, _ = f_plus(row.chi, g.h_ext)
+        up, _ = iterate(row.chi, g.h_ext, 1)
         assert up.y == 1 / z0
         assert up.w == z1 / z0
 
@@ -254,7 +254,7 @@ def test_characters_match_expand_on_every_window_candidate():
 
 @given(st.sampled_from(CATALOG), st.integers(0, 2), st.integers(-6, 6), st.integers(1, 12))
 def test_characters_match_expand_on_walk_genera(cat, class_index, steps, order):
-    c = seed(cat, class_index)[0] + 24 * steps
+    c = seed_rows(cat)[class_index][0] + 24 * steps
     g, m = genus(cat, c), chi_of(cat, c)
     assert characters(g, m, order) == character_vector(expand(g, m, order))
 

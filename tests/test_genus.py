@@ -10,7 +10,6 @@ from extremal2.genus import (
     CATALOG,
     Surd,
     category,
-    ell_general,
     genus,
     h_ext,
     is_admissible,
@@ -75,15 +74,14 @@ def test_h_ext_rejects_inadmissible_charge():
     assert is_admissible(category("fib"), F(14, 5) + 16)
 
 
-def test_ell_general_examples():
-    assert ell_general(2, 33, [F(9, 4)]) == 4
-    assert ell_general(2, 1, [F(1, 4)]) == 0
-    assert ell_general(1, 24, []) == 6
-
-
-def test_ell_general_validates_length():
-    with pytest.raises(ValueError):
-        ell_general(2, 1, [])
+def test_ell_examples():
+    """ell = 1 + c/2 - 6 h_ext, the n = 2 case of binom(n, 2) + n c/4 - 6 sum(h)."""
+    semion = category("semion")
+    assert genus(semion, 33).ell == 4
+    assert genus(semion, 1).ell == 0
+    assert genus(semion, 9).ell == 4
+    assert genus(semion, 17).ell == 2
+    assert genus(category("yang-lee"), F(98, 5)).ell == 0
 
 
 def test_exponent_matrix_examples():

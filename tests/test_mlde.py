@@ -31,7 +31,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from extremal2.charser import character_vector, expand
-from extremal2.chimat import CharMatrix, chi_of, seed
+from extremal2.chimat import CharMatrix, chi_of, seed_rows
 from extremal2.classify import candidates
 from extremal2.genus import CATALOG, Genus, genus
 
@@ -146,7 +146,7 @@ def test_mlde_matches_expand_on_every_window_candidate():
 
 @given(st.sampled_from(CATALOG), st.integers(0, 2), st.integers(-6, 6))
 def test_mlde_matches_expand_on_walk_genera(cat, class_index, steps):
-    c = seed(cat, class_index)[0] + 24 * steps
+    c = seed_rows(cat)[class_index][0] + 24 * steps
     g, m = genus(cat, c), chi_of(cat, c)
     vec = character_vector(expand(g, m, 12))
     assert mlde_character(g, m, 12) == (vec.series0, vec.series1)

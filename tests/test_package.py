@@ -170,6 +170,39 @@ def test_every_private_helper_has_a_caller_in_its_module():
     assert unread == {}
 
 
+def exported_names(tree: ast.Module) -> list[str]:
+    """The strings of a module's ``__all__``."""
+    return [elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts]
+
+
+def names_loaded_in_src() -> set[str]:
+    """Names and attributes the package reads, each outside the top-level
+    function or class that defines a name of that spelling."""
+    loaded = set()
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            loaded |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(top)
+                       if isinstance(n, (ast.Name, ast.Attribute))
+                       and isinstance(n.ctx, ast.Load)} - {own}
+    return loaded
+
+
+def test_every_exported_name_has_a_reader_outside_tests():
+    """An exported name that only tests read is dead code in the package: each
+    one is loaded somewhere in ``src/``, or named in a demo or harness script."""
+    root = PACKAGE.parents[1]
+    scripts = "\n".join(path.read_text() for folder in ("demos", "perfbench")
+                        for path in sorted((root / folder).glob("*.py")))
+    read = names_loaded_in_src() | set(re.findall(r"\w+", scripts))
+    unread = {path.stem: names for path in sorted(PACKAGE.glob("*.py"))
+              if (names := [name for name in exported_names(ast.parse(path.read_text(), str(path)))
+                            if name not in read])}
+    assert unread == {}
+
+
 def known_names() -> set[str]:
     """Names the README may put in backticks: attributes of the package's
     modules and of their classes, builtins, standard-library modules, the

@@ -3,8 +3,9 @@
 The fundamental matrix Xi of a genus satisfies a first-order differential
 equation in q whose coefficient matrix is assembled from two scalar
 series: the q^n coefficients a_n of (J - 240)/E and b_n of 1/E, with
-E = q^-1 - 240 - 141444q - ... .  Writing q^-Lambda Xi = sum X[n] q^n with
-X[-1] = I, the equation becomes a triangular recursion for n >= 0
+E = q^-1 - 240 - 141444q - ... .  With Lambda = diag(1 + e0, e1), e0 and e1
+the genus exponents, and q^-Lambda Xi = sum X[n] q^n with X[-1] = I, the
+equation becomes a triangular recursion for n >= 0
 
     X[n]_ij = ( S_a,ij (lambda_j - 1) + sum_k S_b,ik B_kj ) / (lambda_i - lambda_j + n + 1),
 
@@ -20,8 +21,8 @@ X[0] = chi and raises ``ValueError`` when it fails.
 ``characters`` reaches the same first column, the character vector,
 without the matrix recursion: each component solves a second-order scalar
 modular linear differential equation (Mathur-Mukhi-Sen 1988; Naculich
-1989; Hampapura-Mukhi 2016 for ell = 2 and 4).  With theta = q d/dq, the
-roots alpha0 = -c/24 and alpha1 = h_ext - c/24, mu = alpha0 alpha1 and
+1989; Hampapura-Mukhi 2016 for ell = 2 and 4), whose indicial roots are
+the genus exponents e0 and e1.  With theta = q d/dq, mu = e0 e1 and
 k = ell/2 it reads
 
     E4^k theta^2 f + (ell E6 E4^(k-1) - E2 E4^k)/6 theta f + (mu E4^(k+1) + 1728 nu Delta) f = 0,
@@ -113,7 +114,7 @@ def expand(g: Genus, m: CharMatrix, order: int) -> FundamentalExpansion:
     if order < 1:
         raise ValueError("order must be at least 1")
     a, b = ode_series(order + 2)
-    lam = (g.lambda0, g.lambda1)
+    lam = (1 + g.exponent0, g.exponent1)
     chi = ((m.x, m.y), (m.z, m.w))
     # B = chi + Lambda chi - chi Lambda has (i, j) entry chi_ij (1 + lam_i - lam_j).
     bm = [[chi[i][j] * (1 + lam[i] - lam[j]) for j in range(2)] for i in range(2)]
@@ -170,10 +171,9 @@ class CharacterVector(NamedTuple):
 
 def character_vector(e: FundamentalExpansion) -> CharacterVector:
     """Read the character off an expansion: vacuum row then module row."""
-    g = e.genus
     series0 = tuple(e.matrix(n)[0][0] for n in range(-1, e.order + 1))
     series1 = tuple(e.matrix(n)[1][0] for n in range(0, e.order + 1))
-    return CharacterVector(-g.c / 24, g.h_ext - g.c / 24, series0, series1)
+    return CharacterVector(e.genus.exponent0, e.genus.exponent1, series0, series1)
 
 
 def _mlde_series(ell: int, n_terms: int) -> tuple[list[int], list[int], list[int]]:
@@ -219,7 +219,7 @@ def characters(g: Genus, m: CharMatrix, order: int) -> CharacterVector:
     """The character vector of ``expand`` at ``order``, from the scalar MLDE.
 
     Each component solves A theta^2 f + B theta f + C f = 0 (see the module
-    docstring) with roots -c/24 and h_ext - c/24.  At ell = 4, C holds nu,
+    docstring) with roots g.exponent0 and g.exponent1.  At ell = 4, C holds nu,
     fitted so the vacuum's q^1 coefficient is chi_00; at ell = 0 and 2 that
     coefficient is an output, and raises ``ValueError`` unless it is chi_00.
     """
@@ -228,7 +228,7 @@ def characters(g: Genus, m: CharMatrix, order: int) -> CharacterVector:
     if g.ell not in (0, 2, 4):
         raise ValueError(f"no scalar MLDE for ell = {g.ell}")
     a6, b6, potential = _mlde_series(g.ell, order + 2)
-    r0, r1 = -g.c / 24, g.h_ext - g.c / 24
+    r0, r1 = g.exponent0, g.exponent1
     cs = [r0 * r1 * v for v in potential]
     if g.ell == 4:  # the vacuum's q^1 term (1 - h_ext) chi_00 + A_1 r0^2 + B_1 r0 + C_1 = 0
         nu_1728 = -(1 - g.h_ext) * m.x - (Fraction(a6[1] * r0 + b6[1], 6) * r0 + cs[1])

@@ -23,7 +23,7 @@ built once, at the end.
 ``seed_rows`` hands out exact characteristic matrices for one
 representative of each of the three admissible classes of c mod 24 per
 category; all other matrices in the pipeline are reached from these 24 by
-iteration, and ``chi_of`` walks from the class seed to any admissible c.
+iteration.  ``class_seed`` finds c's seed, and ``chi_of`` walks from it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .genus import CategoryInfo, category, genus
+from .genus import CategoryInfo, category, genus, h_ext
 
 __all__ = [
     "CharMatrix",
@@ -43,6 +43,7 @@ __all__ = [
     "alpha_beta",
     "k_closed",
     "seed_rows",
+    "class_seed",
     "chi_of",
 ]
 
@@ -61,14 +62,14 @@ class CharMatrix(namedtuple("CharMatrix", "x y z w")):
         # the inherited _make, which _replace builds through, skips __new__
         return cls(*iterable)
 
-    def first_column(self) -> tuple[Fraction, Fraction]:
-        return (self.x, self.z)
-
     def to_json(self) -> dict[str, str]:
         return {k: str(v) for k, v in zip(self._fields, self)}
 
     def __str__(self) -> str:
         return f"[[{self.x}, {self.y}], [{self.z}, {self.w}]]"
+
+
+SeedRow = tuple[Fraction, CharMatrix, Fraction]  # (c, chi(c), h_ext(c))
 
 
 class AlphaBeta(NamedTuple):
@@ -196,74 +197,79 @@ def k_closed(ab: AlphaBeta, h: Fraction, n: int) -> tuple[AlphaBeta, Fraction]:
     return AlphaBeta(a_n, b_n), h - 2 * n
 
 
-# Exact characteristic-matrix seeds: one row per admissible class of
-# c mod 24, three per category, constant terms transcribed once and
-# cross-validated downstream (inverse-walk reproduction, series
-# integrality, and the ell = 0 rows matching dim A1 = 3, dim E7 = 133,
+# Exact characteristic-matrix seeds (c, chi), one per admissible class of
+# c mod 24, three per category; seed_rows adds h_ext(c).  Constant terms are
+# transcribed once and cross-validated downstream (inverse-walk reproduction,
+# series integrality, and the ell = 0 rows matching dim A1 = 3, dim E7 = 133,
 # dim G2 = 14, dim F4 = 52).
-_SEEDS: dict[str, tuple[tuple[Fraction, tuple[tuple[int, int], tuple[int, int]], Fraction], ...]] = {
+_SEEDS: dict[str, tuple[tuple[Fraction, tuple[tuple[int, int], tuple[int, int]]], ...]] = {
     "semion": (
-        (Fraction(1), ((3, 26752), (2, -247)), Fraction(1, 4)),
-        (Fraction(9), ((251, 26752), (2, 1)), Fraction(1, 4)),
-        (Fraction(17), ((323, 88), (1632, -319)), Fraction(5, 4)),
+        (Fraction(1), ((3, 26752), (2, -247))),
+        (Fraction(9), ((251, 26752), (2, 1))),
+        (Fraction(17), ((323, 88), (1632, -319))),
     ),
     "semion-bar": (
-        (Fraction(7), ((133, 1248), (56, -377)), Fraction(3, 4)),
-        (Fraction(15), ((381, 1248), (56, -129)), Fraction(3, 4)),
-        (Fraction(23), ((69, 10), (32384, -65)), Fraction(7, 4)),
+        (Fraction(7), ((133, 1248), (56, -377))),
+        (Fraction(15), ((381, 1248), (56, -129))),
+        (Fraction(23), ((69, 10), (32384, -65))),
     ),
     "semion-dagger": (
-        (Fraction(11), ((-319, 1632), (88, 323)), Fraction(3, 4)),
-        (Fraction(19), ((-247, 2), (26752, 3)), Fraction(7, 4)),
-        (Fraction(27), ((1, 2), (26752, 251)), Fraction(7, 4)),
+        (Fraction(11), ((-319, 1632), (88, 323))),
+        (Fraction(19), ((-247, 2), (26752, 3))),
+        (Fraction(27), ((1, 2), (26752, 251))),
     ),
     "semion-bar-dagger": (
-        (Fraction(5), ((-65, 32384), (10, 69)), Fraction(1, 4)),
-        (Fraction(13), ((-377, 56), (1248, 133)), Fraction(5, 4)),
-        (Fraction(21), ((-129, 56), (1248, 381)), Fraction(5, 4)),
+        (Fraction(5), ((-65, 32384), (10, 69))),
+        (Fraction(13), ((-377, 56), (1248, 133))),
+        (Fraction(21), ((-129, 56), (1248, 381))),
     ),
     "fib": (
-        (Fraction(14, 5), ((14, 12857), (7, -258)), Fraction(2, 5)),
-        (Fraction(54, 5), ((262, 12857), (7, -10)), Fraction(2, 5)),
-        (Fraction(94, 5), ((188, 46), (4794, -184)), Fraction(7, 5)),
+        (Fraction(14, 5), ((14, 12857), (7, -258))),
+        (Fraction(54, 5), ((262, 12857), (7, -10))),
+        (Fraction(94, 5), ((188, 46), (4794, -184))),
     ),
     "fib-bar": (
-        (Fraction(26, 5), ((52, 3774), (26, -296)), Fraction(3, 5)),
-        (Fraction(66, 5), ((300, 3774), (26, -48)), Fraction(3, 5)),
-        (Fraction(106, 5), ((106, 17), (15847, -102)), Fraction(8, 5)),
+        (Fraction(26, 5), ((52, 3774), (26, -296))),
+        (Fraction(66, 5), ((300, 3774), (26, -48))),
+        (Fraction(106, 5), ((106, 17), (15847, -102))),
     ),
     "yang-lee": (
-        (Fraction(58, 5), ((-406, 902), (87, 410)), Fraction(4, 5)),
-        (Fraction(98, 5), ((-245, 1), (26999, 1)), Fraction(9, 5)),
-        (Fraction(138, 5), ((3, 1), (26999, 249)), Fraction(9, 5)),
+        (Fraction(58, 5), ((-406, 902), (87, 410))),
+        (Fraction(98, 5), ((-245, 1), (26999, 1))),
+        (Fraction(138, 5), ((3, 1), (26999, 249))),
     ),
     "yang-lee-bar": (
-        (Fraction(22, 5), ((-55, 32509), (11, 59)), Fraction(1, 5)),
-        (Fraction(62, 5), ((-434, 57), (682, 190)), Fraction(6, 5)),
-        (Fraction(102, 5), ((-186, 57), (682, 438)), Fraction(6, 5)),
+        (Fraction(22, 5), ((-55, 32509), (11, 59))),
+        (Fraction(62, 5), ((-434, 57), (682, 190))),
+        (Fraction(102, 5), ((-186, 57), (682, 438))),
     ),
 }
 
 
-def seed_rows(cat: CategoryInfo | str) -> tuple[tuple[Fraction, CharMatrix, Fraction], ...]:
+def seed_rows(cat: CategoryInfo | str) -> tuple[SeedRow, ...]:
     """The three seeds (c, chi(c), h_ext(c)) of a category, one per class of
     c mod 24, in order of ascending representative c."""
-    return tuple((c, CharMatrix(x, y, z, w), h)
-                 for c, ((x, y), (z, w)), h in _SEEDS[category(cat).id])
+    cat = category(cat)
+    return tuple((c, CharMatrix(x, y, z, w), h_ext(cat, c))
+                 for c, ((x, y), (z, w)) in _SEEDS[cat.id])
+
+
+def class_seed(cat: CategoryInfo | str, c: Fraction | int) -> tuple[SeedRow, int]:
+    """The seed row (c0, chi, h) of c's class mod 24, and the signed number
+    of steps (c - c0)/24 that ``iterate`` takes from it to c."""
+    for row in seed_rows(cat):
+        steps = (Fraction(c) - row[0]) / 24
+        if steps.denominator == 1:
+            return row, int(steps)
+    raise RuntimeError(f"no seed of {category(cat).id} lies in the class of c = {c} mod 24")
 
 
 def chi_of(cat: CategoryInfo | str, c: Fraction | int) -> CharMatrix:
     """Characteristic matrix at any admissible c, reached from its class seed."""
-    cat = category(cat)
-    g = genus(cat, c)  # rejects c outside the category's class mod 8
-    for c0, m0, h0 in seed_rows(cat):
-        diff = (g.c - c0) / 24
-        if diff.denominator == 1:
-            m, h = iterate(m0, h0, int(diff))
-            if h != g.h_ext:
-                raise RuntimeError(
-                    f"recurrence reached h = {h} at ({cat.id}, {g.c}), "
-                    f"but the genus has h_ext = {g.h_ext}"
-                )
-            return m
-    raise RuntimeError(f"no seed of {cat.id} lies in the class of c = {g.c} mod 24")
+    g = genus(category(cat), c)  # rejects c outside the category's class mod 8
+    (_, m0, h0), steps = class_seed(g.category, g.c)
+    m, h = iterate(m0, h0, steps)
+    if h != g.h_ext:
+        raise RuntimeError(f"recurrence reached h = {h} at ({g.category.id}, {g.c}), "
+                           f"but the genus has h_ext = {g.h_ext}")
+    return m

@@ -68,7 +68,7 @@ def candidates(
 
 def first_column_admissible(m: CharMatrix) -> bool:
     """Constant-term filter: chi_00 and chi_10 are integers >= 0."""
-    return all(v.denominator == 1 and v >= 0 for v in m.first_column())
+    return all(v.denominator == 1 and v >= 0 for v in (m.x, m.z))
 
 
 class CandidateOutcome(NamedTuple):

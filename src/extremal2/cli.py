@@ -22,7 +22,7 @@ from typing import NoReturn
 
 from . import __version__, bounds, classify
 from .charser import character_vector, expand
-from .chimat import CharMatrix, alpha_beta, chi_of, g_closed, k_closed, seed_rows
+from .chimat import CharMatrix, alpha_beta, chi_of, class_seed, g_closed, k_closed
 from .genus import CATALOG, Genus, Surd, category, genus, modular_rep_check
 from .reedmuller import (
     lemma6_scan,
@@ -108,8 +108,7 @@ def _walk_failure(g: Genus, m: CharMatrix) -> str | None:
     """What contradicts ``m``, the walk's matrix at g.c, in the closed forms
     from its class seed, or None: n steps above the seed its diagonal must
     be ``g_closed``'s, below it its ``alpha_beta`` ``k_closed``'s."""
-    c0, m0, h0 = next(row for row in seed_rows(g.category) if (g.c - row[0]) % 24 == 0)
-    n = int((g.c - c0) / 24)
+    (_, m0, h0), n = class_seed(g.category, g.c)
     if n >= 0 and g_closed(m0.x, m0.w, h0, n) != (m.x, m.w, g.h_ext):
         return f"chi's diagonal differs from g_closed {n} steps above the class seed"
     if n < 0 and k_closed(alpha_beta(m0), h0, -n) != (alpha_beta(m), g.h_ext):
@@ -122,15 +121,12 @@ def rm_data() -> dict:
     min_w, witness = min_weight_rm46()
     sweep = lemma6_scan()
     cert = verify_theorem1_xi()
-    dual_of_rm14 = codes.rm14.dual()
-    rm24_is_dual = codes.rm24.dim == dual_of_rm14.dim and all(
-        w in codes.rm24 for w in dual_of_rm14.basis
-    )
+    dual = codes.rm14.dual()
     return _encode({
         "dims": {"rm14": codes.rm14.dim, "rm24": codes.rm24.dim,
                  "rm16": codes.rm16.dim, "rm46": codes.rm46.dim},
         "rm16_weight_enumerator": weight_enumerator(codes.rm16),
-        "rm24_equals_rm14_dual": rm24_is_dual,
+        "rm24_equals_rm14_dual": dual.dim == codes.rm24.dim and {*dual.basis} <= codes.rm24.words,
         "rm46_min_weight": min_w,
         "rm46_min_weight_witness": word_str(witness, 64),
         "weight6_count": sweep.weight6_count,

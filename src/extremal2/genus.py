@@ -140,17 +140,17 @@ def h_ext(cat: CategoryInfo, c: Fraction | int) -> Fraction:
 class Genus(NamedTuple):
     """A category together with an admissible central charge.
 
-    ``ell`` is 1 + c/2 - 6*h_ext, always an integer in 0..5;
-    ``lambda0 = 1 - c/24`` and ``lambda1 = h_ext - c/24`` are the two
-    exponents governing the q-expansion.
+    ``ell`` is 1 + c/2 - 6*h_ext, always an integer in 0..5; ``exponent0 =
+    -c/24`` and ``exponent1 = h_ext - c/24`` are the characters' leading
+    q-powers, the indicial roots of their MLDE (Mathur-Mukhi-Sen 1988).
     """
 
     category: CategoryInfo
     c: Fraction
     h_ext: Fraction
     ell: int
-    lambda0: Fraction
-    lambda1: Fraction
+    exponent0: Fraction
+    exponent1: Fraction
 
 
 def genus(cat: CategoryInfo, c: Fraction | int) -> Genus:
@@ -162,7 +162,7 @@ def genus(cat: CategoryInfo, c: Fraction | int) -> Genus:
     ell = 1 + c / 2 - 6 * h
     if ell.denominator != 1:
         raise ValueError(f"ell = {ell} is not an integer for ({cat.id}, {c})")
-    return Genus(cat, c, h, int(ell), 1 - c / 24, h - c / 24)
+    return Genus(cat, c, h, int(ell), -c / 24, h - c / 24)
 
 
 def modular_rep_check(cat: CategoryInfo, c: Fraction | int) -> bool:

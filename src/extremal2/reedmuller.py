@@ -181,9 +181,6 @@ class LinearCode:
         products = [a & b for a in self.basis for b in other.basis]
         return LinearCode(self.length, _reduce_rows(products))
 
-    def __repr__(self) -> str:
-        return f"LinearCode(length={self.length}, dim={self.dim})"
-
 
 def weight_enumerator(code: LinearCode) -> dict[int, int]:
     """Exact weight distribution over the full span (dim <= 20)."""
@@ -415,7 +412,7 @@ def verify_theorem1_xi() -> XiCertificate:
     min_w = min(enum)
     return XiCertificate(
         xi=xi,
-        alpha_in_rm24=XI_ALPHA in rm_codes().rm24,
+        alpha_in_rm24=XI_ALPHA in rm_codes().rm24.words,
         alpha_weight=XI_ALPHA.bit_count(),
         conditions=conditions,
         coset_enumerator=enum,

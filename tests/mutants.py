@@ -185,13 +185,52 @@ MUTANTS = (
     ),
     Mutant(
         "seed-rows-swap-top-and-bottom", "chimat",
-        "for c, ((x, y), (z, w)), h in _SEEDS",
-        "for c, ((z, w), (x, y)), h in _SEEDS",
+        "for c, ((x, y), (z, w)) in _SEEDS",
+        "for c, ((z, w), (x, y)) in _SEEDS",
         ("tests/test_chimat.py::test_seed_examples",
          "tests/test_chimat.py::test_negative_table_rows_derived_from_seeds",
          "tests/test_bounds.py::test_positive_table_matches_fixture",
          "tests/test_classify.py::test_classification_matches_golden_table",
          "tests/test_acceptance.py::test_criterion_01_golden_classification"),
+    ),
+    Mutant(
+        "seed-h-one-class-up", "chimat",
+        "CharMatrix(x, y, z, w), h_ext(cat, c))",
+        "CharMatrix(x, y, z, w), h_ext(cat, c + 24))",
+        ("tests/test_chimat.py::test_seed_examples",
+         "tests/test_chimat.py::test_seed_rows_equal_the_transcribed_table",
+         "tests/test_classify.py::test_chi_of_matches_seeds_and_iterates",
+         "tests/test_bounds.py::test_positive_table_matches_fixture"),
+    ),
+    Mutant(
+        "class-seed-only-at-or-above-the-seed", "chimat",
+        "        if steps.denominator == 1:\n",
+        "        if steps.denominator == 1 and steps >= 0:\n",
+        ("tests/test_chimat.py::test_class_seed_finds_the_seed_and_the_signed_steps[semion--23-1--1]",
+         "tests/test_classify.py::test_chi_of_matches_seeds_and_iterates",
+         "tests/test_cli.py::test_chi_checks_its_walk_against_the_closed_forms",
+         "tests/test_cli.py::test_character_exits_1_on_a_tampered_walk[below]"),
+    ),
+    Mutant(
+        "g-closed-x-weight-on-w-doubled", "chimat",
+        "x_n = (n * w + ",
+        "x_n = (2 * n * w + ",
+        ("tests/test_bounds.py::test_positive_window_is_complete_for_every_n",
+         "tests/test_chimat.py::test_g_matches_diagonal_of_f_plus"),
+    ),
+    Mutant(
+        "nmax-positive-one-step-low", "bounds",
+        "    return n - 1\n",
+        "    return max(n - 2, 0)\n",
+        ("tests/test_bounds.py::test_positive_window_is_complete_for_every_n",
+         "tests/test_bounds.py::test_positive_table_matches_fixture"),
+    ),
+    Mutant(
+        "k-closed-beta-descent-term-shifted", "chimat",
+        "- 746496 * n * (h - n - 1))",
+        "- 746496 * n * (h - n))",
+        ("tests/test_bounds.py::test_negative_window_is_complete_for_every_n",
+         "tests/test_chimat.py::test_k_closed_is_the_iterated_step"),
     ),
     Mutant(
         "ell-with-five-h", "genus",

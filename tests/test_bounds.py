@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -19,7 +20,7 @@ from extremal2.bounds import (
     negative_table,
     positive_threshold_witness,
 )
-from extremal2.chimat import CharMatrix, alpha_beta, iterate, seed_rows
+from extremal2.chimat import CharMatrix, alpha_beta, g_closed, iterate, k_closed, seed_rows
 from extremal2.genus import CATALOG, category
 
 F = Fraction
@@ -127,6 +128,32 @@ def test_bound_is_not_vacuous():
             assert out.x < 0
 
 
+def test_positive_window_is_complete_for_every_n():
+    """x_n < 0 for every n > n_max, from each seed.
+
+    ``g_closed`` gives x_n (h + 2n - 1) = Q(n) = -240 n^2 + M n + (h - 1) x
+    with M = x + w - 240 (h - 1).  Q is concave with its vertex at M/480, so
+    Q(n_max + 1) < 0 and M/480 <= n_max + 1 make Q negative for every
+    n > n_max; with h > 0 the factor h + 2n - 1 is positive for n >= 1.
+    """
+    seen = 0
+    for cat in CATALOG:
+        for _, m, h in seed_rows(cat):
+            big_m = m.x + m.w - 240 * (h - 1)
+
+            def q(n):
+                return -240 * n * n + big_m * n + (h - 1) * m.x
+
+            assert h > 0
+            for n in range(6):
+                assert g_closed(m.x, m.w, h, n)[0] * (h + 2 * n - 1) == q(n)
+            n_max = nmax_positive(m, h)
+            assert q(n_max + 1) < 0
+            assert big_m <= 480 * (n_max + 1)
+            seen += 1
+    assert seen == 24
+
+
 def test_quadratic_nonnegative_somewhere_when_nmax_positive():
     """n_max > 0 only when the absolute-coefficient quadratic is >= 0 at some n <= n_max."""
     for cat in CATALOG:
@@ -211,6 +238,58 @@ def test_chi10_stays_small_under_further_descent():
                 state = iterate(*state, -1)
                 assert abs(state[0].z) < 1
                 assert state[0].z != 0
+
+
+def _poly_mul(p, q):
+    """Product of two polynomials in n, as coefficient lists from n^0 up."""
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            out[i + j] += u * v
+    return out
+
+
+def _poly_add(*ps):
+    return [sum(cs, F(0)) for cs in itertools.zip_longest(*ps, fillvalue=F(0))]
+
+
+def _poly_eval(p, n):
+    return sum(c * n**k for k, c in enumerate(p))
+
+
+def test_negative_window_is_complete_for_every_n():
+    """beta_n > 1 for every n >= 0 below each base point, so chi_10 never
+    again becomes a non-negative integer.
+
+    With D(n) = (h - 2n)(h - 2n - 1)^2 (h - 2n - 2), ``k_closed`` gives
+    (beta_n - 1) D(n) = P(n) = n (h - n - 1)(alpha + 120 (h - 1))^2
+    + (h (h - 2) beta - 746496 n (h - n - 1))(h - 2n - 1)^2 - D(n), a quartic
+    in n.  D(n) > 0 for h < 0 and n >= 0, and a quartic whose five
+    coefficients are positive is positive for every n >= 0.
+    """
+    seen = 0
+    for cat in CATALOG:
+        for i in range(3):
+            _, m, h = negative_base_point(cat, i)
+            ab = alpha_beta(m)
+            a, b = ab.alpha, ab.beta
+            assert h < 0
+            # the factors of D and P as polynomials in n
+            h_2n, h_2n_1, h_2n_2 = [h, F(-2)], [h - 1, F(-2)], [h - 2, F(-2)]
+            n_h_n_1 = [F(0), h - 1, F(-1)]  # n (h - n - 1)
+            d = _poly_mul(_poly_mul(h_2n, h_2n_1), _poly_mul(h_2n_1, h_2n_2))
+            p = _poly_add(
+                [c * (a + 120 * (h - 1)) ** 2 for c in n_h_n_1],
+                _poly_mul(_poly_add([h * (h - 2) * b], [-746496 * c for c in n_h_n_1]),
+                          _poly_mul(h_2n_1, h_2n_1)),
+                [-c for c in d],
+            )
+            for n in range(9):
+                beta_n = k_closed(ab, h, n)[0].beta
+                assert _poly_eval(p, n) == (beta_n - 1) * _poly_eval(d, n)
+            assert len(p) == 5 and all(c > 0 for c in p), (cat.id, i, p)
+            seen += 1
+    assert seen == 24
 
 
 # ---------------------------------------------------------------------------

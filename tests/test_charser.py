@@ -58,7 +58,7 @@ def schoolbook_d(g, m, count):
     """D_0 .. D_{count-1}, D_k = a_k (Lambda - I) + b_k (chi + Lambda chi - chi Lambda),
     built from matrix products rather than the entry formula used by expand."""
     a, b = ode_series(count)
-    big_lam = ((g.lambda0, F(0)), (F(0), g.lambda1))
+    big_lam = ((1 + g.exponent0, F(0)), (F(0), g.exponent1))
     chi = ((m.x, m.y), (m.z, m.w))
     comm = _lin(1, chi, 1, _lin(1, _mul(big_lam, chi), -1, _mul(chi, big_lam)))
     return [_lin(a[k], _lin(1, big_lam, -1, IDENTITY), b[k], comm) for k in range(count)]
@@ -67,7 +67,7 @@ def schoolbook_d(g, m, count):
 def schoolbook_coeffs(g, m, order):
     """X[-1] .. X[order] from the explicit matrices D_k of schoolbook_d
     and X[n] = [sum_{m=-1}^{n-1} X[m] D_{n-m}]_ij / (lam_i - lam_j + n + 1)."""
-    lam = (g.lambda0, g.lambda1)
+    lam = (1 + g.exponent0, g.exponent1)
     d = schoolbook_d(g, m, order + 2)
     xs = [IDENTITY, ((m.x, m.y), (m.z, m.w))]
     for n in range(1, order + 1):
@@ -83,7 +83,7 @@ def schoolbook_coeffs(g, m, order):
 def test_d0_is_lambda_minus_identity():
     g = genus(category("semion"), 1)
     d = schoolbook_d(g, chi_of("semion", 1), 3)
-    assert d[0] == ((g.lambda0 - 1, F(0)), (F(0), g.lambda1 - 1))
+    assert d[0] == ((g.exponent0, F(0)), (F(0), g.exponent1 - 1))
 
 
 def test_d1_entry_structure():
@@ -97,7 +97,7 @@ def test_d1_entry_structure():
         (m.x, m.y * (2 - h)),
         (m.z * h, m.w),
     )
-    lam = (g.lambda0, g.lambda1)
+    lam = (1 + g.exponent0, g.exponent1)
     x0 = expand(g, m, 1).matrix(0)
     assert all(
         (lam[i] - lam[j] + 1) * x0[i][j] == d[1][i][j] for i in range(2) for j in range(2)

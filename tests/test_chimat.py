@@ -13,12 +13,13 @@ from extremal2.chimat import (
     AlphaBeta,
     CharMatrix,
     alpha_beta,
+    class_seed,
     g_closed,
     iterate,
     k_closed,
     seed_rows,
 )
-from extremal2.genus import CATALOG
+from extremal2.genus import CATALOG, category
 
 from conftest import random_charmatrix, random_noninteger_h
 
@@ -272,6 +273,62 @@ def test_seed_examples():
         F(1, 5),
     )
     assert seed_rows("fib")[0] == (F(14, 5), CharMatrix(14, 12857, 7, -258), F(2, 5))
+
+
+# The seed table as it was transcribed before seed_rows derived h_ext:
+# (category, c, ((x, y), (z, w)), h_ext), the oracle for the derived h.
+TRANSCRIBED_SEED_ROWS = (
+    ("semion", 1, ((3, 26752), (2, -247)), F(1, 4)),
+    ("semion", 9, ((251, 26752), (2, 1)), F(1, 4)),
+    ("semion", 17, ((323, 88), (1632, -319)), F(5, 4)),
+    ("semion-bar", 7, ((133, 1248), (56, -377)), F(3, 4)),
+    ("semion-bar", 15, ((381, 1248), (56, -129)), F(3, 4)),
+    ("semion-bar", 23, ((69, 10), (32384, -65)), F(7, 4)),
+    ("semion-dagger", 11, ((-319, 1632), (88, 323)), F(3, 4)),
+    ("semion-dagger", 19, ((-247, 2), (26752, 3)), F(7, 4)),
+    ("semion-dagger", 27, ((1, 2), (26752, 251)), F(7, 4)),
+    ("semion-bar-dagger", 5, ((-65, 32384), (10, 69)), F(1, 4)),
+    ("semion-bar-dagger", 13, ((-377, 56), (1248, 133)), F(5, 4)),
+    ("semion-bar-dagger", 21, ((-129, 56), (1248, 381)), F(5, 4)),
+    ("fib", F(14, 5), ((14, 12857), (7, -258)), F(2, 5)),
+    ("fib", F(54, 5), ((262, 12857), (7, -10)), F(2, 5)),
+    ("fib", F(94, 5), ((188, 46), (4794, -184)), F(7, 5)),
+    ("fib-bar", F(26, 5), ((52, 3774), (26, -296)), F(3, 5)),
+    ("fib-bar", F(66, 5), ((300, 3774), (26, -48)), F(3, 5)),
+    ("fib-bar", F(106, 5), ((106, 17), (15847, -102)), F(8, 5)),
+    ("yang-lee", F(58, 5), ((-406, 902), (87, 410)), F(4, 5)),
+    ("yang-lee", F(98, 5), ((-245, 1), (26999, 1)), F(9, 5)),
+    ("yang-lee", F(138, 5), ((3, 1), (26999, 249)), F(9, 5)),
+    ("yang-lee-bar", F(22, 5), ((-55, 32509), (11, 59)), F(1, 5)),
+    ("yang-lee-bar", F(62, 5), ((-434, 57), (682, 190)), F(6, 5)),
+    ("yang-lee-bar", F(102, 5), ((-186, 57), (682, 438)), F(6, 5)),
+)
+
+
+def test_seed_rows_equal_the_transcribed_table():
+    """Every (c, chi, h_ext) triple, h_ext now derived, equals the old table's."""
+    got = [(cat.id, *row) for cat in CATALOG for row in seed_rows(cat)]
+    want = [(cat_id, F(c), CharMatrix(x, y, z, w), h)
+            for cat_id, c, ((x, y), (z, w)), h in TRANSCRIBED_SEED_ROWS]
+    assert got == want
+    assert all(type(v) is F for row in got for v in (row[1], row[3]))
+
+
+@pytest.mark.parametrize("cat_id, c, seed_c, steps", [
+    ("semion", 1, 1, 0), ("semion", 33, 9, 1), ("semion", -23, 1, -1),
+    ("semion", -7, 17, -1), ("yang-lee", F(-22, 5), F(98, 5), -1),
+    ("fib", F(94, 5) + 240, F(94, 5), 10),
+])
+def test_class_seed_finds_the_seed_and_the_signed_steps(cat_id, c, seed_c, steps):
+    row, n = class_seed(cat_id, c)
+    assert row in seed_rows(cat_id) and row[0] == seed_c and n == steps
+    assert seed_c + 24 * n == c
+    assert class_seed(category(cat_id), F(c)) == (row, n)
+
+
+def test_class_seed_rejects_a_charge_outside_every_seed_class():
+    with pytest.raises(RuntimeError, match="no seed of semion lies in the class of c = 2"):
+        class_seed("semion", 2)
 
 
 def test_roundtrip_six_steps_and_offdiagonals_nonzero():

@@ -19,6 +19,7 @@ from extremal2 import classify, cli
 from extremal2.chimat import CharMatrix, alpha_beta, g_closed, k_closed, seed_rows
 from extremal2.genus import CATALOG, Surd
 
+ROOT = Path(__file__).resolve().parents[1]
 PKG = [sys.executable, "-m", "extremal2"]
 # Stdout digests of the seed commit, kept with the benchmark (read only here).
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -536,3 +537,23 @@ def test_cli_contract_holds_for_drawn_argv(argv, tmp_path_factory):
     if rc != 2:
         assert out_out == ""
         assert target.read_text() == out
+
+
+@pytest.mark.parametrize("argv", [
+    ("character", "--category", "semion", "--c", "33", "--order", "12"),
+    ("classify",),
+])
+def test_traced_run_matches_the_plain_run(argv):
+    """``perfbench/traced_cli.py`` wraps every layer's public functions by
+    name; a run through it answers as ``python -m extremal2`` does and adds
+    one ``PERFBENCH_TRACE`` line of JSON to stderr."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PERFBENCH_SPAWN="0")
+    traced = subprocess.run([sys.executable, str(ROOT / "perfbench" / "traced_cli.py"), *argv],
+                            capture_output=True, env=env, cwd=ROOT, timeout=300)
+    plain = subprocess.run(PKG + list(argv), capture_output=True, env=env, cwd=ROOT, timeout=300)
+    assert (traced.returncode, plain.returncode) == (0, 0), traced.stderr
+    assert traced.stdout == plain.stdout
+    traces = [line for line in traced.stderr.decode().splitlines()
+              if line.startswith("PERFBENCH_TRACE ")]
+    assert len(traces) == 1
+    assert isinstance(json.loads(traces[0].removeprefix("PERFBENCH_TRACE ")), dict)

@@ -87,16 +87,16 @@ def test_ell_examples():
 def test_exponent_matrix_examples():
     semion = category("semion")
     g1, g33 = genus(semion, 1), genus(semion, 33)
-    assert (g1.lambda0, g1.lambda1) == (F(23, 24), F(5, 24))
-    assert (g33.lambda0, g33.lambda1) == (F(-3, 8), F(7, 8))
+    assert (g1.exponent0, g1.exponent1) == (F(-1, 24), F(5, 24))
+    assert (g33.exponent0, g33.exponent1) == (F(-11, 8), F(7, 8))
 
 
 def test_exponent_is_linear_in_multiples_of_24():
     fib = category("fib")
     g0 = genus(fib, F(14, 5))
     g1 = genus(fib, F(14, 5) + 24)
-    assert g1.lambda0 == g0.lambda0 - 1
-    assert g1.lambda1 == g0.lambda1 + 1
+    assert g1.exponent0 == g0.exponent0 - 1
+    assert g1.exponent1 == g0.exponent1 + 1
 
 
 def test_h_ext_shifts_by_two_per_24():

@@ -19,18 +19,10 @@ is chi itself exactly when a_1 = 0 and b_1 = 1; every expansion checks that
 X[0] = chi and raises ``ValueError`` when it fails.
 
 ``characters`` reaches the same first column, the character vector,
-without the matrix recursion: each component solves a second-order scalar
-modular linear differential equation (Mathur-Mukhi-Sen 1988; Naculich
-1989; Hampapura-Mukhi 2016 for ell = 2 and 4), whose indicial roots are
-the genus exponents e0 and e1.  With theta = q d/dq, mu = e0 e1 and
-k = ell/2 it reads
-
-    E4^k theta^2 f + (ell E6 E4^(k-1) - E2 E4^k)/6 theta f + (mu E4^(k+1) + 1728 nu Delta) f = 0,
-
-with nu = 0 for ell in {0, 2}.  At ell = 4, nu is fitted so the vacuum's
-q^1 coefficient is chi_00; at ell = 0 and 2 that coefficient is an output,
-and a mismatch with chi_00 raises the same ``ValueError`` as ``expand``'s
-n = 0 check.  Coefficients are integers over one running denominator.
+without the matrix recursion: ``chimat.mlde_characters`` solves each
+component's scalar MLDE, the solve that also derives the seeds.  At
+ell = 0 and 2 the vacuum's q^1 coefficient is an output, and a mismatch
+with chi_00 raises the same ``ValueError`` as ``expand``'s n = 0 check.
 ``classify`` and ``branching_diagnostic`` read characters from it, as
 they read nothing else of the matrix.  The ``character`` subcommand keeps
 ``expand``: on perfbench's ``deep`` workload a faster ``character``
@@ -47,11 +39,10 @@ sum_k coeffs[k] q^(offset + k), known exactly for k < len(coeffs).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import NamedTuple
 
-from .chimat import CharMatrix, chi_of
-from .exactq import _mul, delta, eisenstein, ode_series
+from .chimat import CharMatrix, chi_of, mlde_characters
+from .exactq import _mul, ode_series
 from .genus import Genus, category, genus
 
 __all__ = [
@@ -176,72 +167,12 @@ def character_vector(e: FundamentalExpansion) -> CharacterVector:
     return CharacterVector(e.genus.exponent0, e.genus.exponent1, series0, series1)
 
 
-def _mlde_series(ell: int, n_terms: int) -> tuple[list[int], list[int], list[int]]:
-    """6A, 6B and P of the ell-th scalar MLDE as integer series: A = E4^k,
-    6B = ell E6 E4^(k-1) - E2 E4^k and P = E4^(k+1) with k = ell/2."""
-    e2, e4, e6 = (eisenstein(k, n_terms) for k in (2, 4, 6))
-    powers = [[1] + [0] * (n_terms - 1)]
-    for _ in range(ell // 2 + 1):
-        powers.append(_mul(powers[-1], e4))
-    power, lower = powers[ell // 2], powers[max(ell // 2 - 1, 0)]
-    six_b = [ell * u - v for u, v in zip(_mul(e6, lower), _mul(e2, power))]
-    return [6 * v for v in power], six_b, powers[ell // 2 + 1]
-
-
-def _mlde_solve(rows: list[tuple[int, int, int]], x0: int, d: int, lead: Fraction,
-                n_terms: int) -> tuple[Fraction, ...]:
-    """Coefficients of the solution q^(x0/d) (lead + a_1 q + ...).
-
-    ``rows[k]`` = (a, b, c) is the equation's q^k coefficient as the integer
-    polynomial R_k(X) = a X^2 + b X + c in X = d x, so the q^(x0/d + n) term
-    reads sum_k R_k(x0 + d (n - k)) a_(n - k) = 0.  The a_n are integers
-    nums[n] over one running denominator; when a quotient is not an integer,
-    the denominator and the earlier numerators take the factor it lacks.
-    """
-    a0, b0, c0 = rows[0]
-    nums, scale = [lead.numerator], lead.denominator
-    for n in range(1, n_terms):
-        total = sum(((a * x + b) * x + c) * nums[n - k]
-                    for k, (a, b, c) in enumerate(rows[1 : n + 1], 1)
-                    for x in [x0 + d * (n - k)])
-        x = x0 + d * n
-        divisor = (a0 * x + b0) * x + c0
-        if total % divisor:
-            factor = abs(divisor) // gcd(total, divisor)
-            nums = [v * factor for v in nums]
-            scale *= factor
-            total *= factor
-        nums.append(-total // divisor)
-    return tuple(Fraction(v, scale) for v in nums)
-
-
 def characters(g: Genus, m: CharMatrix, order: int) -> CharacterVector:
-    """The character vector of ``expand`` at ``order``, from the scalar MLDE.
-
-    Each component solves A theta^2 f + B theta f + C f = 0 (see the module
-    docstring) with roots g.exponent0 and g.exponent1.  At ell = 4, C holds nu,
-    fitted so the vacuum's q^1 coefficient is chi_00; at ell = 0 and 2 that
-    coefficient is an output, and raises ``ValueError`` unless it is chi_00.
-    """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if g.ell not in (0, 2, 4):
-        raise ValueError(f"no scalar MLDE for ell = {g.ell}")
-    a6, b6, potential = _mlde_series(g.ell, order + 2)
-    r0, r1 = g.exponent0, g.exponent1
-    cs = [r0 * r1 * v for v in potential]
-    if g.ell == 4:  # the vacuum's q^1 term (1 - h_ext) chi_00 + A_1 r0^2 + B_1 r0 + C_1 = 0
-        nu_1728 = -(1 - g.h_ext) * m.x - (Fraction(a6[1] * r0 + b6[1], 6) * r0 + cs[1])
-        cs = [u + nu_1728 * v for u, v in zip(cs, delta(order + 2))]
-    d = lcm(r0.denominator, r1.denominator)
-    scale = lcm(*((6 * d * d * v).denominator for v in cs))
-    rows = [(scale * a, scale * d * b, int(6 * d * d * scale * c))
-            for a, b, c in zip(a6, b6, cs)]
-    series0 = _mlde_solve(rows, int(d * r0), d, Fraction(1), order + 2)
+    """The character vector of ``expand`` at ``order``, from the scalar MLDE."""
+    series0, series1 = mlde_characters(g, m.x, m.z, order)
     if g.ell != 4 and series0[1] != m.x:
         raise ValueError("chi inconsistent with ODE at order 0")
-    series1 = _mlde_solve(rows, int(d * r1), d, m.z, order + 1)
-    return CharacterVector(r0, r1, series0, series1)
+    return CharacterVector(g.exponent0, g.exponent1, series0, series1)
 
 
 def _aligned(a: Component, b: Component) -> tuple[Fraction, tuple, tuple]:

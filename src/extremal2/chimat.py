@@ -20,20 +20,22 @@ hands its reciprocal to the other entry.  Each step spends one gcd on
 running product, so the big numbers only meet small ones; Fractions are
 built once, at the end.
 
-``seed_rows`` hands out exact characteristic matrices for one
-representative of each of the three admissible classes of c mod 24 per
-category; all other matrices in the pipeline are reached from these 24 by
-iteration.  ``class_seed`` finds c's seed, and ``chi_of`` walks from it.
+``seed_rows`` derives one exact characteristic matrix per admissible
+class of c mod 24, 24 in all, from eight stored (c, chi_10) pairs through
+the characters' MLDE (``mlde_characters``); iteration reaches every other
+one.  ``class_seed`` finds c's seed, and ``chi_of`` walks from it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .genus import CategoryInfo, category, genus, h_ext
+from .exactq import delta, mlde_series, mlde_solve
+from .genus import CATALOG, CategoryInfo, Genus, category, genus
 
 __all__ = [
     "CharMatrix",
@@ -42,6 +44,7 @@ __all__ = [
     "g_closed",
     "alpha_beta",
     "k_closed",
+    "mlde_characters",
     "seed_rows",
     "class_seed",
     "chi_of",
@@ -197,61 +200,89 @@ def k_closed(ab: AlphaBeta, h: Fraction, n: int) -> tuple[AlphaBeta, Fraction]:
     return AlphaBeta(a_n, b_n), h - 2 * n
 
 
-# Exact characteristic-matrix seeds (c, chi), one per admissible class of
-# c mod 24, three per category; seed_rows adds h_ext(c).  Constant terms are
-# transcribed once and cross-validated downstream (inverse-walk reproduction,
-# series integrality, and the ell = 0 rows matching dim A1 = 3, dim E7 = 133,
-# dim G2 = 14, dim F4 = 52).
-_SEEDS: dict[str, tuple[tuple[Fraction, tuple[tuple[int, int], tuple[int, int]]], ...]] = {
-    "semion": (
-        (Fraction(1), ((3, 26752), (2, -247))),
-        (Fraction(9), ((251, 26752), (2, 1))),
-        (Fraction(17), ((323, 88), (1632, -319))),
-    ),
-    "semion-bar": (
-        (Fraction(7), ((133, 1248), (56, -377))),
-        (Fraction(15), ((381, 1248), (56, -129))),
-        (Fraction(23), ((69, 10), (32384, -65))),
-    ),
-    "semion-dagger": (
-        (Fraction(11), ((-319, 1632), (88, 323))),
-        (Fraction(19), ((-247, 2), (26752, 3))),
-        (Fraction(27), ((1, 2), (26752, 251))),
-    ),
-    "semion-bar-dagger": (
-        (Fraction(5), ((-65, 32384), (10, 69))),
-        (Fraction(13), ((-377, 56), (1248, 133))),
-        (Fraction(21), ((-129, 56), (1248, 381))),
-    ),
-    "fib": (
-        (Fraction(14, 5), ((14, 12857), (7, -258))),
-        (Fraction(54, 5), ((262, 12857), (7, -10))),
-        (Fraction(94, 5), ((188, 46), (4794, -184))),
-    ),
-    "fib-bar": (
-        (Fraction(26, 5), ((52, 3774), (26, -296))),
-        (Fraction(66, 5), ((300, 3774), (26, -48))),
-        (Fraction(106, 5), ((106, 17), (15847, -102))),
-    ),
-    "yang-lee": (
-        (Fraction(58, 5), ((-406, 902), (87, 410))),
-        (Fraction(98, 5), ((-245, 1), (26999, 1))),
-        (Fraction(138, 5), ((3, 1), (26999, 249))),
-    ),
-    "yang-lee-bar": (
-        (Fraction(22, 5), ((-55, 32509), (11, 59))),
-        (Fraction(62, 5), ((-434, 57), (682, 190))),
-        (Fraction(102, 5), ((-186, 57), (682, 438))),
-    ),
-}
+def mlde_characters(g: Genus, x: Fraction | None, z: Fraction | int, order: int
+                    ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The vacuum series (1, x, ...) through q^(order + 1) and the module
+    series (z, ...) through q^order above their leads.  Both solve the scalar
+    MLDE (Mathur-Mukhi-Sen 1988; Hampapura-Mukhi 2016 for ell = 2 and 4)
+    with roots e0 = g.exponent0, e1 = g.exponent1; with theta = q d/dq,
+    mu = e0 e1 and k = ell/2 it reads
+
+        E4^k theta^2 f + (ell E6 E4^(k-1) - E2 E4^k)/6 theta f + (mu E4^(k+1) + 1728 nu Delta) f = 0.
+
+    At ell = 0 and 2, nu = 0 and the vacuum's q^1 term is an output, so x is
+    not read; at ell = 4, nu is fitted so that term is x.
+    """
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    if g.ell not in (0, 2, 4):
+        raise ValueError(f"no scalar MLDE for ell = {g.ell}")
+    a6, b6, potential = mlde_series(g.ell, order + 2)
+    r0, r1 = g.exponent0, g.exponent1
+    cs = [r0 * r1 * v for v in potential]
+    if g.ell == 4:  # the vacuum's q^1 term (1 - h_ext) x + A_1 r0^2 + B_1 r0 + C_1 = 0
+        nu_1728 = -(1 - g.h_ext) * x - (Fraction(a6[1] * r0 + b6[1], 6) * r0 + cs[1])
+        cs = [u + nu_1728 * v for u, v in zip(cs, delta(order + 2))]
+    d = lcm(r0.denominator, r1.denominator)
+    scale = lcm(*((6 * d * d * v).denominator for v in cs))
+    rows = [(scale * a, scale * d * b, int(6 * d * d * scale * c))
+            for a, b, c in zip(a6, b6, cs)]
+    return (mlde_solve(rows, int(d * r0), d, Fraction(1), order + 2),
+            mlde_solve(rows, int(d * r1), d, Fraction(z), order + 1))
 
 
+def _seed_row(g: Genus, vacuum: tuple, module: tuple, z: Fraction | int) -> SeedRow:
+    """(c, chi, h) of g from its MLDE series (1, x, ...) and (1, u1, u2) and
+    chi_10 = z.  To first order in chi, ``expand``'s recursion gives
+    u1 = X[1]_10/z, u2 = X[2]_10/z and w1 = X[1]_11 as below; they solve in
+    turn for w, w1 and y, as h is never an integer.
+
+        u1 = (x + h(w + 240))/(h + 1),
+        u2 = (x(u1 + 240) + h w1 + 240hw + 199044h - 14097c)/(h + 2),
+        w1 = (w(w + 240) - (h - 2) y z + 338328(h - 1 - c/24))/2
+    """
+    c, h, x, (_, u1, u2) = g.c, g.h_ext, vacuum[1], module
+    w = ((h + 1) * u1 - x) / h - 240
+    w1 = ((h + 2) * u2 - x * (u1 + 240) - 240 * h * w - 199044 * h + 14097 * c) / h
+    y = (w * (w + 240) + 338328 * (h - 1 - c / 24) - 2 * w1) / ((h - 2) * z)
+    return c, CharMatrix(x, y, z, w), h
+
+
+# The ell = 0 seed (c, chi_10) of each category, from which seed_rows derives all 24
+_SEEDS = {"semion": (Fraction(1), 2), "semion-bar": (Fraction(7), 56),
+          "semion-dagger": (Fraction(19), 26752), "semion-bar-dagger": (Fraction(13), 1248),
+          "fib": (Fraction(14, 5), 7), "fib-bar": (Fraction(26, 5), 26),
+          "yang-lee": (Fraction(98, 5), 26999), "yang-lee-bar": (Fraction(62, 5), 682)}
+
+
+@lru_cache(maxsize=None)
 def seed_rows(cat: CategoryInfo | str) -> tuple[SeedRow, ...]:
     """The three seeds (c, chi(c), h_ext(c)) of a category, one per class of
-    c mod 24, in order of ascending representative c."""
+    c mod 24, in order of ascending representative c, derived from ``_SEEDS``:
+
+    - ell = 0, at the stored c: ``_seed_row`` reads chi off the MLDE.
+    - ell = 4, at c + 8: tensoring with E8 at level 1 multiplies both
+      characters by j^(1/3) = E4/eta^8 = q^(-1/3) (1 + 248q + ...), so
+      chi(c + 8) = chi(c) + 248 I.
+    - ell = 2, at 24 - c', where the dual category (c mod 8 and h mod 1
+      negated) has its ell = 0 seed.  The two genera share an S-matrix with
+      S^2 = I, and c + c' = 24 and h + h' = 2 cancel their T-phases, so
+      vacuum x vacuum' + module x module' is modular with a simple pole at
+      q = 0: J plus a constant (a dual pair, Hampapura-Mukhi 2016).  Its
+      module product starts at q^1, where J has 196884, so
+      z z' = 196884 - (x2 + x x' + x2'), the x's being the two vacuums'
+      q^1 and q^2 terms, and z times the lead-1 module series is the module.
+    """
     cat = category(cat)
-    return tuple((c, CharMatrix(x, y, z, w), h_ext(cat, c))
-                 for c, ((x, y), (z, w)) in _SEEDS[cat.id])
+    dual = next(k for k in CATALOG if (k.c_mod8, k.h_mod1) == (-cat.c_mod8 % 8, -cat.h_mod1 % 1))
+    (c0, z0), (c1, z1) = _SEEDS[cat.id], _SEEDS[dual.id]
+    g0, g2, g4 = genus(cat, c0), genus(cat, 24 - c1), genus(cat, c0 + 8)
+    _, m0, h0 = _seed_row(g0, *mlde_characters(g0, None, 1, 2), z0)
+    (_, x, x2, _), _ = mlde_characters(genus(dual, c1), None, 1, 2)
+    vacuum, module = mlde_characters(g2, None, 1, 2)
+    z2 = (196884 - (x2 + x * vacuum[1] + vacuum[2])) / z1
+    return tuple(sorted([(c0, m0, h0), _seed_row(g2, vacuum, module, z2),  # c's differ
+                         (g4.c, m0._replace(x=m0.x + 248, w=m0.w + 248), g4.h_ext)]))
 
 
 def class_seed(cat: CategoryInfo | str, c: Fraction | int) -> tuple[SeedRow, int]:

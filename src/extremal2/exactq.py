@@ -8,12 +8,17 @@ coefficients: the Eisenstein series E2, E4 and E6, the discriminant form
 Delta = (E4^3 - E6^2)/1728, and from them the two series that drive the
 character recursion, the q^n coefficients of (J - 240)/E and 1/E, where
 J = E4^3/Delta - 744 is the normalized Hauptmodul and
-E = E4*E6/Delta = q^-1 - 240 - 141444q - ... (``ode_series``).
+E = E4*E6/Delta = q^-1 - 240 - 141444q - ... (``ode_series``).  The
+characters' scalar MLDE reads its integer coefficient series off
+``mlde_series`` and is solved term by term by ``mlde_solve``.
 """
 
 from __future__ import annotations
 
-__all__ = ["ode_series", "eisenstein", "delta"]
+from fractions import Fraction
+from math import gcd
+
+__all__ = ["ode_series", "eisenstein", "delta", "mlde_series", "mlde_solve"]
 
 
 def _mul(a: list[int], b: list[int]) -> list[int]:
@@ -85,3 +90,41 @@ def delta(n_terms: int) -> list[int]:
     """The discriminant form (E4^3 - E6^2)/1728 from q^0 on; its lead term is q."""
     return _forms(n_terms)[2]
 
+
+def mlde_series(ell: int, n_terms: int) -> tuple[list[int], list[int], list[int]]:
+    """6A, 6B and P of the ell-th scalar MLDE as integer series: A = E4^k,
+    6B = ell E6 E4^(k-1) - E2 E4^k and P = E4^(k+1) with k = ell/2."""
+    e2, e4, e6 = (eisenstein(k, n_terms) for k in (2, 4, 6))
+    powers = [[1] + [0] * (n_terms - 1)]
+    for _ in range(ell // 2 + 1):
+        powers.append(_mul(powers[-1], e4))
+    power, lower = powers[ell // 2], powers[max(ell // 2 - 1, 0)]
+    six_b = [ell * u - v for u, v in zip(_mul(e6, lower), _mul(e2, power))]
+    return [6 * v for v in power], six_b, powers[ell // 2 + 1]
+
+
+def mlde_solve(rows: list[tuple[int, int, int]], x0: int, d: int, lead: Fraction,
+               n_terms: int) -> tuple[Fraction, ...]:
+    """Coefficients of the solution q^(x0/d) (lead + a_1 q + ...).
+
+    ``rows[k]`` = (a, b, c) is the equation's q^k coefficient as the integer
+    polynomial R_k(X) = a X^2 + b X + c in X = d x, so the q^(x0/d + n) term
+    reads sum_k R_k(x0 + d (n - k)) a_(n - k) = 0.  The a_n are integers
+    nums[n] over one running denominator; when a quotient is not an integer,
+    the denominator and the earlier numerators take the factor it lacks.
+    """
+    a0, b0, c0 = rows[0]
+    nums, scale = [lead.numerator], lead.denominator
+    for n in range(1, n_terms):
+        total = sum(((a * x + b) * x + c) * nums[n - k]
+                    for k, (a, b, c) in enumerate(rows[1 : n + 1], 1)
+                    for x in [x0 + d * (n - k)])
+        x = x0 + d * n
+        divisor = (a0 * x + b0) * x + c0
+        if total % divisor:
+            factor = abs(divisor) // gcd(total, divisor)
+            nums = [v * factor for v in nums]
+            scale *= factor
+            total *= factor
+        nums.append(-total // divisor)
+    return tuple(Fraction(v, scale) for v in nums)

@@ -158,9 +158,9 @@ MUTANTS = (
          "tests/test_cli.py::test_chi_far_from_the_window_has_no_digit_limit[24001-1000]"),
     ),
     Mutant(
-        "nu-fit-with-one-plus-h", "charser",
-        "nu_1728 = -(1 - g.h_ext) * m.x",
-        "nu_1728 = -(1 + g.h_ext) * m.x",
+        "nu-fit-with-one-plus-h", "chimat",
+        "nu_1728 = -(1 - g.h_ext) * x",
+        "nu_1728 = -(1 + g.h_ext) * x",
         ("tests/test_charser.py::test_characters_match_expand_on_every_window_candidate",
          "tests/test_charser.py::test_characters_fit_nu_to_chi00_at_ell_four",
          "tests/test_classify.py::test_classification_matches_golden_table",
@@ -185,8 +185,8 @@ MUTANTS = (
     ),
     Mutant(
         "seed-rows-swap-top-and-bottom", "chimat",
-        "for c, ((x, y), (z, w)) in _SEEDS",
-        "for c, ((z, w), (x, y)) in _SEEDS",
+        "return c, CharMatrix(x, y, z, w), h",
+        "return c, CharMatrix(z, w, x, y), h",
         ("tests/test_chimat.py::test_seed_examples",
          "tests/test_chimat.py::test_negative_table_rows_derived_from_seeds",
          "tests/test_bounds.py::test_positive_table_matches_fixture",
@@ -195,12 +195,39 @@ MUTANTS = (
     ),
     Mutant(
         "seed-h-one-class-up", "chimat",
-        "CharMatrix(x, y, z, w), h_ext(cat, c))",
-        "CharMatrix(x, y, z, w), h_ext(cat, c + 24))",
+        "[(c0, m0, h0),",
+        "[(c0, m0, h0 + 2),",
         ("tests/test_chimat.py::test_seed_examples",
          "tests/test_chimat.py::test_seed_rows_equal_the_transcribed_table",
          "tests/test_classify.py::test_chi_of_matches_seeds_and_iterates",
          "tests/test_bounds.py::test_positive_table_matches_fixture"),
+    ),
+    Mutant(
+        "stored-seed-z-bumped", "chimat",
+        '"semion": (Fraction(1), 2)',
+        '"semion": (Fraction(1), 3)',
+        ("tests/test_chimat.py::test_seed_examples",
+         "tests/test_chimat.py::test_seed_rows_equal_the_transcribed_table",
+         "tests/test_closed_forms.py::test_character_matches_its_closed_form_through_order_120[semion-1]",
+         "tests/test_closed_forms.py::test_dual_pair_sums_to_the_e8_character_through_q40[semion@1-semion-bar@7]"),
+    ),
+    Mutant(
+        "e8-shift-247", "chimat",
+        "x=m0.x + 248, w=m0.w + 248",
+        "x=m0.x + 247, w=m0.w + 247",
+        ("tests/test_chimat.py::test_seed_rows_equal_the_transcribed_table",
+         "tests/test_closed_forms.py::test_character_matches_its_closed_form_through_order_120[semion-9]",
+         "tests/test_closed_forms.py::test_ell4_seed_character_is_the_ell0_one_times_e8_through_q40[fib-14/5]",
+         "tests/test_closed_forms.py::test_ell4_seed_character_is_the_ell0_one_times_e8_through_q40[yang-lee-98/5]"),
+    ),
+    Mutant(
+        "j-pairing-196885", "chimat",
+        "(196884 - (",
+        "(196885 - (",
+        ("tests/test_chimat.py::test_seed_rows_equal_the_transcribed_table",
+         "tests/test_chimat.py::test_seed_examples",
+         "tests/test_closed_forms.py::test_dual_pair_sums_to_j_plus_a_constant_through_q40[semion@17-semion-bar@7-456]",
+         "tests/test_closed_forms.py::test_dual_pair_sums_to_j_plus_a_constant_through_q40[yang-lee@58/5-yang-lee-bar@62/5--840]"),
     ),
     Mutant(
         "class-seed-only-at-or-above-the-seed", "chimat",

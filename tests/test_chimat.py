@@ -273,10 +273,15 @@ def test_seed_examples():
         F(1, 5),
     )
     assert seed_rows("fib")[0] == (F(14, 5), CharMatrix(14, 12857, 7, -258), F(2, 5))
+    # ell = 0 seeds, where the MLDE outputs chi_00 = dim V(1): A1, E7, G2 and F4
+    ell0 = [seed_rows(cat_id)[0] for cat_id in ("semion", "semion-bar", "fib", "fib-bar")]
+    assert [(c, m.x) for c, m, _ in ell0] == [(1, 3), (7, 133), (F(14, 5), 14), (F(26, 5), 52)]
 
 
-# The seed table as it was transcribed before seed_rows derived h_ext:
-# (category, c, ((x, y), (z, w)), h_ext), the oracle for the derived h.
+# The seed table as it was transcribed before seed_rows derived anything:
+# (category, c, ((x, y), (z, w)), h_ext).  seed_rows now stores only each
+# ell = 0 seed's (c, z) and derives the rest, so this is the oracle for all
+# 80 derived entries and the 24 derived h.
 TRANSCRIBED_SEED_ROWS = (
     ("semion", 1, ((3, 26752), (2, -247)), F(1, 4)),
     ("semion", 9, ((251, 26752), (2, 1)), F(1, 4)),

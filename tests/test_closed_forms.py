@@ -11,9 +11,13 @@ realizations come from ``classify.GOLDEN_GENERA``:
 * (semion, 9) and (yang-lee, 18/5) tensor these with E8 at level 1, whose
   character is E4/eta^8.
 
-Dual pairs reach further: in nine pairs of genera with h_ext summing to an
-integer, vacuum x vacuum + module x module is E4/eta^8 (c = 8), J plus a
+Dual pairs reach further: in thirteen pairs of genera with h_ext summing to
+an integer, vacuum x vacuum + module x module is E4/eta^8 (c = 8), J plus a
 constant (c = 24) or j^(5/3) + N j^(2/3) (c = 40), which pins all 15 genera.
+Among them are the eight ell = 2 <-> ell = 0 pairs from which
+``chimat.seed_rows`` derives its ell = 2 seeds, and each ell = 4 seed's
+character is its ell = 0 seed's times E4/eta^8, the identity that derives
+the ell = 4 seeds.
 """
 
 from __future__ import annotations
@@ -141,6 +145,10 @@ J_PAIRS = [
     (("semion-bar", F(23)), ("semion", F(1)), 72),
     (("fib-bar", F(106, 5)), ("fib", F(14, 5)), 120),
     (("fib", F(94, 5)), ("fib-bar", F(26, 5)), 240),
+    (("semion-dagger", F(11)), ("semion-bar-dagger", F(13)), -696),
+    (("semion-bar-dagger", F(5)), ("semion-dagger", F(19)), -312),
+    (("yang-lee", F(58, 5)), ("yang-lee-bar", F(62, 5)), -840),
+    (("yang-lee-bar", F(22, 5)), ("yang-lee", F(98, 5)), -300),
     (("semion-bar", F(15)), ("semion", F(9)), 744),
     (("fib-bar", F(66, 5)), ("fib", F(54, 5)), 744),
 ]
@@ -183,3 +191,20 @@ def test_c33_dual_pair_sums_to_j_five_thirds_plus_n_j_two_thirds_through_q40():
     assert (total[1], n) == (136, -1104)
     j_sum = [x + n * y for x, y in zip(a5, [0] + a2)]
     assert total[0] == 1 and total[2:] == j_sum[2:]
+
+
+# the ell = 0 seed of each category; 8 above it lies its ell = 4 seed
+ELL0_SEEDS = [("semion", F(1)), ("semion-bar", F(7)), ("semion-dagger", F(19)),
+              ("semion-bar-dagger", F(13)), ("fib", F(14, 5)), ("fib-bar", F(26, 5)),
+              ("yang-lee", F(98, 5)), ("yang-lee-bar", F(62, 5))]
+
+
+@pytest.mark.parametrize("cat_id, c", ELL0_SEEDS, ids=str)
+def test_ell4_seed_character_is_the_ell0_one_times_e8_through_q40(cat_id, c):
+    cat = category(cat_id)
+    low, high = genus(cat, c), genus(cat, c + 8)
+    assert (low.ell, high.ell) == (0, 4)
+    v, w = (character_vector(expand(g, chi_of(cat, g.c), PAIR_ORDER)) for g in (low, high))
+    assert (w.exponent0, w.exponent1) == (v.exponent0 - F(1, 3), v.exponent1 - F(1, 3))
+    assert list(w.series0) == times_e8(list(v.series0))
+    assert list(w.series1) == times_e8(list(v.series1))

@@ -42,8 +42,8 @@ LAYERS_BELOW = {
     "exactq": set(),
     "genus": set(),
     "reedmuller": set(),
-    "chimat": {"genus"},
-    "bounds": {"genus", "chimat"},
+    "chimat": {"exactq", "genus"},
+    "bounds": {"exactq", "genus", "chimat"},
     "charser": {"exactq", "genus", "chimat"},
     "classify": {"exactq", "genus", "chimat", "bounds", "charser"},
     "cli": {"exactq", "genus", "chimat", "bounds", "charser", "classify", "reedmuller"},

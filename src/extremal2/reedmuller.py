@@ -121,48 +121,33 @@ def _columns(code: "LinearCode") -> list[int]:
 class LinearCode:
     """Binary linear code presented by independent basis rows.
 
-    ``words``, the span as a frozenset, is built on first use and kept:
-    a set lookup costs a fraction of the ``in`` test by row reduction."""
+    ``words``, the span as a frozenset, is the one membership test: built
+    on first use by XOR-ing in one basis row at a time, and kept."""
 
     def __init__(self, length: int, basis: list[int]):
         for row in basis:
             if not 0 <= row < (1 << length):
                 raise ValueError("basis row does not fit the code length")
-        reduced = _reduce_rows(basis)
-        if len(reduced) != len(basis):
+        if len(_reduce_rows(basis)) != len(basis):
             raise ValueError("basis rows are linearly dependent")
         self.length = length
         self.basis = tuple(basis)
-        self._echelon = tuple(reduced)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def reduce(self, bits: int) -> int:
-        """The representative of the coset ``bits`` + code: ``bits`` with every
-        echelon pivot cleared.  Linear in ``bits``, and 0 exactly on the code."""
-        for row in self._echelon:
-            bits = min(bits, bits ^ row)
-        return bits
-
-    def __contains__(self, bits: int) -> bool:
-        return self.reduce(bits) == 0
-
-    def codewords(self) -> list[int]:
+    @cached_property
+    def words(self) -> frozenset[int]:
         """Full span; guarded so RM(4,6) (dim 57) can never be expanded."""
         if self.dim > ENUMERATION_LIMIT:
             raise ValueError(
                 f"enumeration infeasible: dimension {self.dim} > {ENUMERATION_LIMIT}"
             )
         words = [0]
-        for row in self._echelon:
+        for row in self.basis:
             words += [w ^ row for w in words]
-        return words
-
-    @cached_property
-    def words(self) -> frozenset[int]:
-        return frozenset(self.codewords())
+        return frozenset(words)
 
     def dual(self) -> "LinearCode":
         """The orthogonal code, from one row reduction of [G^T | I].
@@ -175,7 +160,7 @@ class LinearCode:
         return LinearCode(n, [r for r in _reduce_rows(rows) if r < 1 << n])
 
     def product(self, other: "LinearCode") -> "LinearCode":
-        """Span of all pointwise products of codewords of the two codes."""
+        """Span of all pointwise products of words of the two codes."""
         if self.length != other.length:
             raise ValueError("length mismatch")
         products = [a & b for a in self.basis for b in other.basis]

@@ -45,6 +45,19 @@ def random_charmatrix(rng: random.Random) -> CharMatrix:
     return CharMatrix(random_fraction(rng), nonzero(), nonzero(), random_fraction(rng))
 
 
+def in_span(rows, bits: int) -> bool:
+    """Membership by row reduction, at any dimension (``LinearCode.words``
+    stops at 20): keep one row per leading bit, then clear ``bits``'
+    leading bits with them; ``bits`` is in the span iff nothing is left."""
+    lead: dict[int, int] = {}
+    for row in (*rows, bits):
+        while row and row.bit_length() in lead:
+            row ^= lead[row.bit_length()]
+        if row:
+            lead[row.bit_length()] = row
+    return row == 0
+
+
 def j_and_script_e(n_terms: int) -> tuple[list[int], list[int]]:
     """J and E, ``n_terms`` coefficients each from q^-1 on, read back off the
     series the recursion consumes: with a = (J - 240)/E and b = 1/E from

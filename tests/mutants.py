@@ -309,12 +309,20 @@ MUTANTS = (
     ),
     Mutant(
         "words-from-basis", "reedmuller",
-        "return frozenset(self.codewords())",
+        "return frozenset(words)",
         "return frozenset(self.basis)",
         ("tests/test_reedmuller.py::test_words_is_the_span_and_agrees_with_membership",
+         "tests/test_reedmuller.py::test_words_is_the_span_of_random_bases",
          "tests/test_reedmuller.py::test_weight_enumerators",
          "tests/test_reedmuller.py::test_lemma5_on_construction_word",
          "tests/test_cli.py::test_rm_verify_check_and_md"),
+    ),
+    Mutant(
+        "words-skip-first-basis-row", "reedmuller",
+        "for row in self.basis:",
+        "for row in self.basis[1:]:",
+        ("tests/test_reedmuller.py::test_words_is_the_span_of_random_bases",
+         "tests/test_reedmuller.py::test_rm24_weight_distribution"),
     ),
     Mutant(
         "catalog-self-check-dropped", "cli",

@@ -94,16 +94,17 @@ def test_cli_import_builds_no_reedmuller_table():
 
 
 def test_rm_verify_enumerates_each_code_span_once():
-    """``rm verify`` reads every span through ``LinearCode.words``, so a request
-    enumerates RM(1,4), RM(2,4) and RM(1,6) (dimensions 5, 11, 7) once each."""
+    """``rm verify`` reads every span through ``LinearCode.words``, which is
+    cached, so a request enumerates RM(1,4), RM(2,4) and RM(1,6) (dimensions
+    5, 11, 7) once each."""
     out = run_fresh(
         "from extremal2 import cli, reedmuller\n"
         "dims = []\n"
-        "codewords = reedmuller.LinearCode.codewords\n"
+        "enumerate_span = reedmuller.LinearCode.words.func\n"
         "def counted(code):\n"
         "    dims.append(code.dim)\n"
-        "    return codewords(code)\n"
-        "reedmuller.LinearCode.codewords = counted\n"
+        "    return enumerate_span(code)\n"
+        "reedmuller.LinearCode.words.func = counted\n"
         "cli.rm_data()\n"
         "print(sorted(dims))")
     assert out == "[5, 7, 11]\n"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import in_span
 from extremal2 import reedmuller
 from extremal2.reedmuller import (
     XI_ALPHA,
@@ -86,16 +87,16 @@ def test_duality_involution_and_dimension_sum():
         assert code.dim + d.dim == code.length
         dd = d.dual()
         assert dd.dim == code.dim
-        assert all(w in code for w in dd.basis)
+        assert all(in_span(code.basis, w) for w in dd.basis)
 
 
 @st.composite
-def independent_bases(draw):
+def independent_bases(draw, max_dim: int = 64):
     length = draw(st.integers(1, 64))
-    rows = draw(st.lists(st.integers(0, (1 << length) - 1), max_size=length))
+    rows = draw(st.lists(st.integers(0, (1 << length) - 1), max_size=min(length, max_dim)))
     basis: list[int] = []
     for row in rows:
-        if row not in LinearCode(length, basis):
+        if not in_span(basis, row):
             basis.append(row)
     return length, basis
 
@@ -109,18 +110,23 @@ def test_duality_properties_on_random_bases(length_and_basis):
     assert all((row & d).bit_count() % 2 == 0 for row in basis for d in dual.basis)
     double = dual.dual()
     assert double.dim == code.dim
-    assert all(row in double for row in basis)
+    assert all(in_span(double.basis, row) for row in basis)
 
 
-@given(independent_bases(), st.data())
-def test_reduce_gives_one_linear_representative_per_coset(length_and_basis, data):
+@given(independent_bases(max_dim=12), st.data())
+def test_words_is_the_span_of_random_bases(length_and_basis, data):
     length, basis = length_and_basis
-    code = LinearCode(length, basis)
-    x, y = (data.draw(st.integers(0, (1 << length) - 1)) for _ in range(2))
-    assert code.reduce(x ^ y) == code.reduce(x) ^ code.reduce(y)
-    assert x ^ code.reduce(x) in code
-    assert all(code.reduce(x ^ row) == code.reduce(x) for row in basis)
-    assert (code.reduce(x) == 0) == (x in code)
+    words = LinearCode(length, basis).words
+    assert len(words) == 2 ** len(basis)
+    assert {*basis} <= words
+    ordered = sorted(words)
+    a, b = (data.draw(st.sampled_from(ordered)) for _ in range(2))
+    assert a ^ b in words
+    assert all({w ^ row for w in words} == words for row in basis)
+    # 2^dim words, each in the span: words is the span
+    assert all(in_span(basis, w) for w in words)
+    x = data.draw(st.integers(0, (1 << length) - 1))
+    assert (x in words) == in_span(basis, x)
 
 
 def test_rm46_basis_meets_both_independent_definitions():
@@ -141,8 +147,8 @@ def test_rm24_is_dual_of_rm14():
     codes = rm_codes()
     dual = codes.rm14.dual()
     assert dual.dim == codes.rm24.dim == 11
-    assert all(w in codes.rm24 for w in dual.basis)
-    assert all(w in dual for w in codes.rm24.basis)
+    assert all(in_span(codes.rm24.basis, w) for w in dual.basis)
+    assert all(in_span(dual.basis, w) for w in codes.rm24.basis)
 
 
 def test_weight_enumerators():
@@ -175,10 +181,10 @@ def test_enumeration_guard_for_large_codes():
 def test_words_is_the_span_and_agrees_with_membership():
     codes = rm_codes()
     for code in (codes.rm14, codes.rm24, codes.rm16):
-        assert code.words == frozenset(code.codewords())
         assert len(code.words) == 2**code.dim
+        assert all(in_span(code.basis, w) for w in code.words)
     # every 16-bit word is in RM(2,4).words iff row reduction clears it
-    assert all((w in codes.rm24.words) == (w in codes.rm24) for w in range(1 << 16))
+    assert all((w in codes.rm24.words) == in_span(codes.rm24.basis, w) for w in range(1 << 16))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +202,7 @@ def test_rm46_member_trivial_cases():
 
 
 def test_membership_agrees_with_duality_on_rm16_and_randoms():
-    for g in rm_codes().rm16.codewords():
+    for g in sorted(rm_codes().rm16.words):
         assert rm46_member(g) and rm46_member_dual(g)
     rng = random.Random(7)
     for _ in range(10_000):
@@ -326,7 +332,7 @@ def test_condition_iv_reads_the_block_indicators():
     the subcode test, and xi * (a,a,a,a) is doubly even for every RM(1,4)
     word a, but xi * (0,0,1,1) = (0,0,0,nu) has weight 6."""
     nu = 0x0356
-    assert nu in rm_codes().rm24 and nu.bit_count() == 6
+    assert in_span(rm_codes().rm24.basis, nu) and nu.bit_count() == 6
     xi = _join(0, nu, 0, nu)
     assert (xi & _join(0, 0, 0xFFFF, 0xFFFF)).bit_count() == 6
     report = lemma5_check(xi)
@@ -353,7 +359,7 @@ def test_lemma5_equivalences_on_random_words():
 def test_lemma5_equivalences_on_structured_words():
     """Words built from RM(2,4) blocks exercise the passing branch."""
     rng = random.Random(5)
-    words = rm_codes().rm24.codewords()
+    words = sorted(rm_codes().rm24.words)
     passing = 0
     for _ in range(300):
         nus = [words[rng.randrange(len(words))] for _ in range(4)]
@@ -368,7 +374,7 @@ def test_lemma5_equivalences_on_structured_words():
 def lemma5_oracle(xi: int) -> tuple[bool, bool, list[tuple[int, int]]]:
     """subcode_ok, doubly_even_ok and the coset enumerator, computed one
     product and one coset word at a time from the RM(1,6) span."""
-    words = rm_codes().rm16.codewords()
+    words = sorted(rm_codes().rm16.words)
     products = [xi & g for g in words]
     subcode_ok = all(rm46_member_dual(p) for p in products)
     doubly_even_ok = subcode_ok and all(p.bit_count() % 4 == 0 for p in products)
@@ -381,14 +387,14 @@ def lemma5_oracle(xi: int) -> tuple[bool, bool, list[tuple[int, int]]]:
 
 def test_lemma5_and_cosets_match_the_product_by_product_oracle():
     rng = random.Random(2024)
-    rm24 = rm_codes().rm24.codewords()
+    rm24 = sorted(rm_codes().rm24.words)
     lemma6 = [_join(a, a, a, a ^ 0xFFFF) for a in rm24 if a.bit_count() == 6]
     randoms = [rng.getrandbits(64) for _ in range(500)]
     structured = [_join(*rng.choices(rm24, k=4)) for _ in range(500)]
     flipped = [xi ^ (1 << rng.randrange(64)) for xi in structured]
     # (a, b, c, a + b + c + r), a, b, c in RM(2,4) and r in RM(1,4), pass
     # (i)-(iii); some of them fail (iv) on a block indicator only
-    rm14 = rm_codes().rm14.codewords()
+    rm14 = sorted(rm_codes().rm14.words)
     shaped = []
     for _ in range(300):
         a, b, c = rng.choices(rm24, k=3)
@@ -476,12 +482,12 @@ def test_weight_lanes_match_direct_popcounts():
 def test_self_orthogonality_of_passing_products():
     """If (i)-(iii) hold, the products xi * g are pairwise orthogonal."""
     checked = 0
-    for alpha in rm_codes().rm24.codewords():
+    for alpha in sorted(rm_codes().rm24.words):
         if alpha.bit_count() != 6 or checked >= 10:
             continue
         checked += 1
         xi = _join(alpha, alpha, alpha, alpha ^ 0xFFFF)
-        products = [xi & g for g in rm_codes().rm16.codewords()]
+        products = [xi & g for g in sorted(rm_codes().rm16.words)]
         for i in range(0, len(products), 17):
             for j in range(0, len(products), 13):
                 assert (products[i] & products[j]).bit_count() % 2 == 0

@@ -131,7 +131,7 @@ def h_ext(cat: CategoryInfo, c: Fraction | int) -> Fraction:
     if not is_admissible(cat, c):
         raise ValueError(
             f"c not in category's class mod 8: {cat.id} needs "
-            f"c = {cat.c_mod8} (mod 8), got {c}"
+            f"c = {cat.c_mod8} (mod 8), got c = {c % 8} (mod 8)"
         )
     upper = (1 + c / 2) / 6
     return cat.h_mod1 + math.floor(upper - cat.h_mod1)

@@ -328,6 +328,11 @@ def _lane_weights(lanes: int) -> dict[int, int]:
     return {w: data.count(w) for w in sorted(set(data))}
 
 
+def _xi(alpha: int) -> int:
+    """The lemma 6 word (alpha, alpha, alpha, alpha^c) of a 16-bit alpha."""
+    return _join(alpha, alpha, alpha, alpha ^ _MASK16)
+
+
 class Lemma6Report(NamedTuple):
     """Sweep over every weight-6 word of RM(2,4)."""
 
@@ -346,16 +351,8 @@ def lemma6_scan() -> Lemma6Report:
         if alpha.bit_count() != 6:
             continue
         count += 1
-        xi = _join(alpha, alpha, alpha, alpha ^ _MASK16)
-        report, lanes = _lemma5(xi)
-        if not (
-            report.cond_i
-            and report.cond_ii
-            and report.cond_iii
-            and report.cond_iv
-            and report.doubly_even_ok
-        ):
-            conditions_ok = False
+        report, lanes = _lemma5(_xi(alpha))
+        conditions_ok = conditions_ok and all(report)
         if differing is None:
             # 64 lanes of 28 and 64 of 36 fill all 128: the enumerator matches
             data = lanes.to_bytes(len(rm_codes().rm16.words), "little")
@@ -371,7 +368,7 @@ XI_ALPHA = word("0110 1100 1010 0000")
 
 def construction_xi() -> int:
     """The 64-bit word (alpha, alpha, alpha, alpha^c) built from XI_ALPHA."""
-    return _join(XI_ALPHA, XI_ALPHA, XI_ALPHA, XI_ALPHA ^ _MASK16)
+    return _xi(XI_ALPHA)
 
 
 class XiCertificate(NamedTuple):

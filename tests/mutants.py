@@ -86,6 +86,19 @@ MUTANTS = (
          "tests/test_acceptance.py::test_criterion_08_code_suite"),
     ),
     Mutant(
+        "sweep-verdict-from-four-conditions", "reedmuller",
+        "all(report)",
+        "all(report[:4])",
+        ("tests/test_cli.py::test_one_sweep_word_failing_only_the_subcode_test_fails_rm_verify",),
+    ),
+    Mutant(
+        "lemma6-word-without-complement", "reedmuller",
+        "alpha ^ _MASK16)",
+        "alpha)",
+        ("tests/test_reedmuller.py::test_lemma6_sweep",
+         "tests/test_cli.py::test_rm_verify_check_and_md"),
+    ),
+    Mutant(
         "c94-coset-coefficient-bumped", "charser",
         "121366368",
         "121366369",

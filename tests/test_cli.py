@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extremal2 import classify, cli
+from extremal2 import classify, cli, reedmuller
 from extremal2.chimat import CharMatrix, alpha_beta, g_closed, k_closed, seed_rows
 from extremal2.genus import CATALOG, Surd
+from extremal2.reedmuller import _join, construction_xi, lemma6_scan, rm_codes
 
 ROOT = Path(__file__).resolve().parents[1]
 PKG = [sys.executable, "-m", "extremal2"]
@@ -167,6 +168,16 @@ def test_usage_errors_exit_2(tmp_path):
         assert res.returncode == 2 and res.stdout == ""
         assert f"usage: extremal2 {argv[0]} [-h]" in res.stderr
         assert f"extremal2 {argv[0]}: error: " in res.stderr and message in res.stderr
+
+
+def test_an_inadmissible_huge_c_is_reported_by_its_residue(capsys):
+    # the message names c mod 8, not c's 300001 digits
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["chi", "--category", "semion", "--c=1e300000"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 300
+    assert "needs c = 1 (mod 8), got c = 0 (mod 8)" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -319,6 +330,27 @@ def test_rm_verify_exits_1_on_a_failing_certificate(name, tamper, monkeypatch, c
     assert err.splitlines()[1:] == ["the binary-code certificate does not hold"]
     # stdout is the document as computed, the failing entry included
     assert json.loads(out)["xi"] == fixture("rm_verify.json")["xi"]
+
+
+def test_one_sweep_word_failing_only_the_subcode_test_fails_rm_verify(monkeypatch, capsys):
+    """The sweep's verdict reads every field of each word's lemma 5 report."""
+    first = next(a for a in rm_codes().rm24.words if a.bit_count() == 6)
+    tampered_xi = _join(first, first, first, first ^ 0xFFFF)
+    assert tampered_xi != construction_xi()
+    real = reedmuller._lemma5
+
+    def tampered(xi):
+        report, lanes = real(xi)
+        return (report._replace(subcode_ok=False) if xi == tampered_xi else report), lanes
+
+    monkeypatch.setattr(reedmuller, "_lemma5", tampered)
+    assert not lemma6_scan().all_conditions_pass
+    assert cli.main(["rm", "verify"]) == 1
+    out, err = capsys.readouterr()
+    assert err.splitlines()[1:] == ["the binary-code certificate does not hold"]
+    doc = json.loads(out)
+    assert doc["lemma_sweep_conditions_pass"] is False
+    assert doc["lemma_sweep_cosets_match"] and all(doc["xi_conditions"].values())
 
 
 def test_catalog_exits_1_on_a_row_that_fails_the_st_check(monkeypatch, capsys):

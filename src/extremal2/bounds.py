@@ -18,7 +18,8 @@ Two one-sided arguments turn the recurrence into a finite search window:
   there |beta| stays above 1 (so chi_10 can never again be an integer) for
   every n > |alpha - 120(1-h)| (1-h) / 860, an exactly rational threshold.
 
-``c_extremes`` combines the 3 classes per category into (c_min, c_max).
+``positive_rows`` and ``negative_rows`` give a category's 3 rows per side,
+one per class, and ``c_extremes`` folds them into (c_min, c_max).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from fractions import Fraction
 
 from .chimat import CharMatrix, alpha_beta, iterate, seed_rows
-from .genus import CATALOG, CategoryInfo
+from .genus import CategoryInfo, category
 
 __all__ = [
     "nmax_positive",
@@ -36,8 +37,8 @@ __all__ = [
     "negative_threshold",
     "negative_base_point",
     "c_extremes",
-    "positive_table",
-    "negative_table",
+    "positive_rows",
+    "negative_rows",
 ]
 
 
@@ -134,48 +135,45 @@ def negative_base_point(
 
 def c_extremes(cat: CategoryInfo | str) -> tuple[Fraction, Fraction]:
     """(c_min, c_max) for a category, combining its three classes."""
-    c_max = max(c + 24 * nmax_positive(m, h) for c, m, h in seed_rows(cat))
-    c_min = min(
-        c - 24 * nmax_negative(m, h)
-        for c, m, h in (negative_base_point(cat, i) for i in range(3))
-    )
+    c_max = max(r["c"] + 24 * r["n_max"] for r in positive_rows(cat))
+    c_min = min(r["c"] - 24 * r["n_max"] for r in negative_rows(cat))
     return c_min, c_max
 
 
-def positive_table() -> list[dict]:
-    """The 24 positive-side rows (category x class, ascending class c)."""
+def positive_rows(cat: CategoryInfo | str) -> list[dict]:
+    """A category's 3 positive-side rows, one per class, ascending class c."""
+    cat = category(cat)
     rows = []
-    for cat in CATALOG:
-        for c, m, h in seed_rows(cat):
-            rows.append(
-                {
-                    "category": cat.id,
-                    "c": c,
-                    "chi": m,
-                    "h_ext": h,
-                    "n_max": nmax_positive(m, h),
-                }
-            )
+    for c, m, h in seed_rows(cat):
+        rows.append(
+            {
+                "category": cat.id,
+                "c": c,
+                "chi": m,
+                "h_ext": h,
+                "n_max": nmax_positive(m, h),
+            }
+        )
     return rows
 
 
-def negative_table() -> list[dict]:
-    """The 24 negative-side rows (category x class, descending base c)."""
+def negative_rows(cat: CategoryInfo | str) -> list[dict]:
+    """A category's 3 negative-side rows, one per class, descending base c."""
+    cat = category(cat)
     rows = []
-    for cat in CATALOG:
-        for i in reversed(range(3)):
-            c, m, h = negative_base_point(cat, i)
-            ab = alpha_beta(m)
-            rows.append(
-                {
-                    "category": cat.id,
-                    "c": c,
-                    "chi": m,
-                    "h_ext": h,
-                    "alpha": ab.alpha,
-                    "beta": ab.beta,
-                    "n_max": nmax_negative(m, h),
-                    "chi10": m.z,
-                }
-            )
+    for i in reversed(range(3)):
+        c, m, h = negative_base_point(cat, i)
+        ab = alpha_beta(m)
+        rows.append(
+            {
+                "category": cat.id,
+                "c": c,
+                "chi": m,
+                "h_ext": h,
+                "alpha": ab.alpha,
+                "beta": ab.beta,
+                "n_max": nmax_negative(m, h),
+                "chi10": m.z,
+            }
+        )
     return rows

@@ -23,7 +23,9 @@ built once, at the end.
 ``seed_rows`` derives one exact characteristic matrix per admissible
 class of c mod 24, 24 in all, from eight stored (c, chi_10) pairs through
 the characters' MLDE (``mlde_characters``); iteration reaches every other
-one.  ``class_seed`` finds c's seed, and ``chi_of`` walks from it.
+one.  ``walk`` iterates from c's class seed and checks the matrix it reaches
+against ``g_closed`` or ``k_closed``; ``chi_of`` is that walk, raising on
+a failure.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ __all__ = [
     "k_closed",
     "mlde_characters",
     "seed_rows",
-    "class_seed",
+    "walk",
     "chi_of",
 ]
 
@@ -285,22 +287,30 @@ def seed_rows(cat: CategoryInfo | str) -> tuple[SeedRow, ...]:
                          (g4.c, m0._replace(x=m0.x + 248, w=m0.w + 248), g4.h_ext)]))
 
 
-def class_seed(cat: CategoryInfo | str, c: Fraction | int) -> tuple[SeedRow, int]:
-    """The seed row (c0, chi, h) of c's class mod 24, and the signed number
-    of steps (c - c0)/24 that ``iterate`` takes from it to c."""
-    for row in seed_rows(cat):
-        steps = (Fraction(c) - row[0]) / 24
-        if steps.denominator == 1:
-            return row, int(steps)
-    raise RuntimeError(f"no seed of {category(cat).id} lies in the class of c = {c} mod 24")
+def walk(g: Genus) -> tuple[CharMatrix, str | None]:
+    """The characteristic matrix at g.c, iterated from the seed of its class
+    mod 24, and what in it contradicts the closed forms from that seed, or
+    None: n steps above the seed its diagonal and h must be ``g_closed``'s,
+    below it its ``alpha_beta`` and h ``k_closed``'s."""
+    for c0, m0, h0 in seed_rows(g.category):
+        n = (g.c - c0) / 24
+        if n.denominator == 1:
+            break
+    else:
+        raise RuntimeError(f"no seed of {g.category.id} lies in the class of c = {g.c} mod 24")
+    n = int(n)
+    m, _ = iterate(m0, h0, n)
+    if n >= 0 and g_closed(m0.x, m0.w, h0, n) != (m.x, m.w, g.h_ext):
+        return m, f"chi's diagonal differs from g_closed {n} steps above the class seed"
+    if n < 0 and k_closed(alpha_beta(m0), h0, -n) != (alpha_beta(m), g.h_ext):
+        return m, f"chi's (alpha, beta) differs from k_closed {-n} steps below the class seed"
+    return m, None
 
 
 def chi_of(cat: CategoryInfo | str, c: Fraction | int) -> CharMatrix:
-    """Characteristic matrix at any admissible c, reached from its class seed."""
+    """Characteristic matrix at any admissible c, walked from its class seed."""
     g = genus(category(cat), c)  # rejects c outside the category's class mod 8
-    (_, m0, h0), steps = class_seed(g.category, g.c)
-    m, h = iterate(m0, h0, steps)
-    if h != g.h_ext:
-        raise RuntimeError(f"recurrence reached h = {h} at ({g.category.id}, {g.c}), "
-                           f"but the genus has h_ext = {g.h_ext}")
+    m, failure = walk(g)
+    if failure:
+        raise RuntimeError(f"({g.category.id}, {g.c}): {failure}")
     return m

@@ -3,7 +3,7 @@
 For each category the admissible charges inside [c_min, c_max] form three
 arithmetic progressions of step 24; every candidate gets its exact
 characteristic matrix by iterating the recurrence from the class seed
-(``chimat.chi_of`` does the same walk for one c).
+(``chimat.walk`` does the same walk for one c, and checks it).
 A candidate survives when its would-be character is a plausible pair of
 graded dimensions:
 

@@ -16,13 +16,13 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction
 from importlib import resources
 from typing import NoReturn
 
 from . import __version__, bounds, classify
 from .charser import character_vector, expand
-from .chimat import CharMatrix, alpha_beta, chi_of, class_seed, g_closed, k_closed
+from .chimat import CharMatrix, chi_of, walk
 from .genus import CATALOG, Genus, Surd, category, genus, modular_rep_check
 from .reedmuller import (
     lemma6_scan,
@@ -67,12 +67,12 @@ def catalog_data() -> list[dict]:
 
 def bounds_data(table: str, only: str | None = None) -> list[dict]:
     """One of the three bound tables; ``only`` restricts its rows to a category."""
+    cats = CATALOG if only is None else [category(only)]
     if table == "summary":
-        rows = [{"category": cat.id, "c_min": c_min, "c_max": c_max}
-                for cat in CATALOG for c_min, c_max in [bounds.c_extremes(cat)]]
-    else:
-        rows = bounds.positive_table() if table == "nmax-positive" else bounds.negative_table()
-    return _encode([row for row in rows if only in (None, row["category"])])
+        return _encode([{"category": cat.id, "c_min": c_min, "c_max": c_max}
+                        for cat in cats for c_min, c_max in [bounds.c_extremes(cat)]])
+    rows = bounds.positive_rows if table == "nmax-positive" else bounds.negative_rows
+    return _encode([row for cat in cats for row in rows(cat)])
 
 
 def classify_data(rows: list[classify.CandidateOutcome], only: str | None = None) -> list[dict]:
@@ -102,18 +102,6 @@ def character_data(cat_id: str, c: Fraction, order: int, m: CharMatrix | None = 
 
 def chi_data(g: Genus, m: CharMatrix) -> dict:
     return _encode({"category": g.category.id, "c": g.c, "h_ext": g.h_ext, "chi": m})
-
-
-def _walk_failure(g: Genus, m: CharMatrix) -> str | None:
-    """What contradicts ``m``, the walk's matrix at g.c, in the closed forms
-    from its class seed, or None: n steps above the seed its diagonal must
-    be ``g_closed``'s, below it its ``alpha_beta`` ``k_closed``'s."""
-    (_, m0, h0), n = class_seed(g.category, g.c)
-    if n >= 0 and g_closed(m0.x, m0.w, h0, n) != (m.x, m.w, g.h_ext):
-        return f"chi's diagonal differs from g_closed {n} steps above the class seed"
-    if n < 0 and k_closed(alpha_beta(m0), h0, -n) != (alpha_beta(m), g.h_ext):
-        return f"chi's (alpha, beta) differs from k_closed {-n} steps below the class seed"
-    return None
 
 
 def rm_data() -> dict:
@@ -298,24 +286,23 @@ def _check_character(data: dict) -> int:
 # argument handling
 
 
+_MAX_EXPONENT = 4300  # CPython's default int() digit limit
+
+
 def _parse_fraction(text: str) -> Fraction:
+    """``text`` read by ``Fraction``'s own grammar, its exponent bounded
+    before ``Fraction`` expands it: past the bound a literal is an even
+    integer or lies inside (-1/10, 1/10), and no admissible c is either."""
+    match = _RATIONAL_FORMAT.match(text)
+    if match is None:
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+    digits = (match["exp"] or "").lstrip("+-").replace("_", "").lstrip("0")
+    if int(digits[:5] or 0) > _MAX_EXPONENT:  # without leading zeros, 5 digits exceed it
+        raise argparse.ArgumentTypeError(f"exponent too large: above {_MAX_EXPONENT} in magnitude")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
-
-
-class _NegativeRational:
-    """argparse reads a token that starts with "-" as an option unless its
-    private ``_negative_number_matcher`` matches it.  This one matches every
-    negative rational ``_parse_fraction`` reads: "--c -4.4e0" is "--c=-4.4e0"."""
-
-    @staticmethod
-    def match(text: str) -> bool:
-        try:
-            return text.startswith("-") and _parse_fraction(text) is not None
-        except argparse.ArgumentTypeError:
-            return False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_genus(p):
         p.add_argument("--category", required=True)
         p.add_argument("--c", required=True, type=_parse_fraction)
-        p._negative_number_matcher = _NegativeRational
+        # argparse reads a token that starts with "-" as an option unless this
+        # private matcher matches it, so "--c -4.4e0" is "--c=-4.4e0"
+        p._negative_number_matcher = _RATIONAL_FORMAT
 
     p_char = sub.add_parser("character", help="character vector of a genus")
     add_genus(p_char)
@@ -431,8 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         if not classify.matches_golden(rows):
             failure = "classification differs from the embedded golden table"
     elif args.command in ("character", "chi"):
-        m = chi_of(cat, args.c)
-        failure = _walk_failure(g, m)
+        m, failure = walk(g)
         if args.command == "chi":
             data = chi_data(g, m)
         else:

@@ -181,11 +181,20 @@ MUTANTS = (
     ),
     Mutant(
         "c-max-one-step-low", "bounds",
-        "c_max = max(c + 24 * nmax_positive(m, h) for c, m, h in seed_rows(cat))",
-        "c_max = max(c + 24 * nmax_positive(m, h) for c, m, h in seed_rows(cat)) - 24",
+        'c_max = max(r["c"] + 24 * r["n_max"] for r in positive_rows(cat))',
+        'c_max = max(r["c"] + 24 * r["n_max"] for r in positive_rows(cat)) - 24',
         ("tests/test_classify.py::test_no_matrix_outside_the_window_passes_the_constant_term_filter",
          "tests/test_bounds.py::test_c_extremes_golden_values",
          "tests/test_acceptance.py::test_criterion_04_c_extremes"),
+    ),
+    Mutant(
+        "c-min-takes-the-max", "bounds",
+        'c_min = min(r["c"] - 24 * r["n_max"] for r in negative_rows(cat))',
+        'c_min = max(r["c"] - 24 * r["n_max"] for r in negative_rows(cat))',
+        ("tests/test_bounds.py::test_c_extremes_golden_values",
+         "tests/test_acceptance.py::test_criterion_04_c_extremes",
+         "tests/test_cli.py::test_bounds_summary_and_category_filter",
+         "tests/test_cli.py::test_bounds_category_filters_every_table[summary-1]"),
     ),
     Mutant(
         "negative-base-point-steps-up", "bounds",
@@ -244,8 +253,8 @@ MUTANTS = (
     ),
     Mutant(
         "class-seed-only-at-or-above-the-seed", "chimat",
-        "        if steps.denominator == 1:\n",
-        "        if steps.denominator == 1 and steps >= 0:\n",
+        "        if n.denominator == 1:\n",
+        "        if n.denominator == 1 and n >= 0:\n",
         ("tests/test_chimat.py::test_class_seed_finds_the_seed_and_the_signed_steps[semion--23-1--1]",
          "tests/test_classify.py::test_chi_of_matches_seeds_and_iterates",
          "tests/test_cli.py::test_chi_checks_its_walk_against_the_closed_forms",
@@ -345,16 +354,32 @@ MUTANTS = (
     ),
     Mutant(
         "negative-rational-matcher-narrowed", "cli",
-        'return text.startswith("-") and _parse_fraction(text) is not None',
-        'return text.startswith("-") and "e" not in text and _parse_fraction(text) is not None',
-        ("tests/test_cli.py::test_negative_c_forms_that_parse_and_one_that_does_not",),
+        "        p._negative_number_matcher = _RATIONAL_FORMAT\n",
+        "        pass\n",
+        ("tests/test_cli.py::test_negative_c_forms_that_parse_and_one_that_does_not",
+         "tests/test_cli.py::test_negative_fractional_c_parses_with_or_without_equals[argv0]",
+         "tests/test_cli.py::test_a_huge_exponent_is_a_usage_error_before_it_is_expanded[argv2]"),
+    ),
+    Mutant(
+        "exponent-bound-off", "cli",
+        "if int(digits[:5] or 0) > _MAX_EXPONENT:",
+        "if int(digits[:4] or 0) > _MAX_EXPONENT:",
+        ("tests/test_cli.py::test_a_huge_exponent_is_a_usage_error_before_it_is_expanded[argv0]",
+         "tests/test_cli.py::test_a_huge_exponent_is_a_usage_error_before_it_is_expanded[argv1]",
+         "tests/test_cli.py::test_a_huge_exponent_is_a_usage_error_before_it_is_expanded[argv2]"),
     ),
     Mutant(
         "walk-self-check-dropped", "cli",
-        "failure = _walk_failure(g, m)",
-        "_ = _walk_failure(g, m)",
+        'm, failure = walk(g)\n        if args.command == "chi":',
+        'm, _ = walk(g)\n        if args.command == "chi":',
         ("tests/test_cli.py::test_character_exits_1_on_a_tampered_walk[above]",
          "tests/test_cli.py::test_character_exits_1_on_a_tampered_walk[below]"),
+    ),
+    Mutant(
+        "walk-k-closed-branch-dropped", "chimat",
+        "if n < 0 and k_closed(",
+        "if False and k_closed(",
+        ("tests/test_cli.py::test_character_exits_1_on_a_tampered_walk[below]",),
     ),
     Mutant(
         "ode-series-984-to-985", "exactq",

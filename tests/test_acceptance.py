@@ -17,7 +17,7 @@ from importlib import resources
 
 import pytest
 
-from extremal2.bounds import c_extremes, negative_table, positive_table
+from extremal2.bounds import c_extremes, negative_rows, positive_rows
 from extremal2.charser import (
     COSET_CHARACTER,
     EXTENSION_CHARACTER,
@@ -107,7 +107,8 @@ def test_criterion_03_golden_bound_tables():
             "h_ext": str(r["h_ext"]),
             "n_max": r["n_max"],
         }
-        for r in positive_table()
+        for cat in CATALOG
+        for r in positive_rows(cat)
     ]
     # the negative side is re-derived from the seeds by reverse steps
     neg = [
@@ -121,7 +122,8 @@ def test_criterion_03_golden_bound_tables():
             "n_max": r["n_max"],
             "chi10": str(r["chi10"]),
         }
-        for r in negative_table()
+        for cat in CATALOG
+        for r in negative_rows(cat)
     ]
     ok = pos == fixture_rows("nmax_positive.json")
     ok = ok and neg == fixture_rows("nmax_negative.json")

@@ -16,8 +16,8 @@ from extremal2.bounds import (
     negative_threshold,
     nmax_negative,
     nmax_positive,
-    positive_table,
-    negative_table,
+    negative_rows,
+    positive_rows,
     positive_threshold_witness,
 )
 from extremal2.chimat import CharMatrix, alpha_beta, g_closed, iterate, k_closed, seed_rows
@@ -114,7 +114,8 @@ def test_positive_table_matches_fixture():
             "h_ext": str(r["h_ext"]),
             "n_max": r["n_max"],
         }
-        for r in positive_table()
+        for cat in CATALOG
+        for r in positive_rows(cat)
     ]
     assert got == fixture("nmax_positive.json")
 
@@ -201,7 +202,7 @@ def test_nmax_negative_precondition_errors():
 
 
 def test_negative_table_matches_fixture_and_all_zero():
-    rows = negative_table()
+    rows = [r for cat in CATALOG for r in negative_rows(cat)]
     got = [
         {
             "category": r["category"],

@@ -13,13 +13,13 @@ from extremal2.chimat import (
     AlphaBeta,
     CharMatrix,
     alpha_beta,
-    class_seed,
     g_closed,
     iterate,
     k_closed,
     seed_rows,
+    walk,
 )
-from extremal2.genus import CATALOG, category
+from extremal2.genus import CATALOG, category, genus
 
 from conftest import random_charmatrix, random_noninteger_h
 
@@ -325,15 +325,19 @@ def test_seed_rows_equal_the_transcribed_table():
     ("fib", F(94, 5) + 240, F(94, 5), 10),
 ])
 def test_class_seed_finds_the_seed_and_the_signed_steps(cat_id, c, seed_c, steps):
-    row, n = class_seed(cat_id, c)
-    assert row in seed_rows(cat_id) and row[0] == seed_c and n == steps
-    assert seed_c + 24 * n == c
-    assert class_seed(category(cat_id), F(c)) == (row, n)
+    """``walk`` reaches c from its class seed in the signed number of steps."""
+    (_, m0, h0), = (row for row in seed_rows(cat_id) if row[0] == seed_c)
+    assert seed_c + 24 * steps == c
+    assert walk(genus(category(cat_id), c)) == (iterate(m0, h0, steps)[0], None)
 
 
-def test_class_seed_rejects_a_charge_outside_every_seed_class():
-    with pytest.raises(RuntimeError, match="no seed of semion lies in the class of c = 2"):
-        class_seed("semion", 2)
+def test_class_seed_rejects_a_charge_outside_every_seed_class(monkeypatch):
+    """A charge whose class mod 24 has no seed is an internal error."""
+    import extremal2.chimat as chimat_mod
+
+    monkeypatch.setattr(chimat_mod, "seed_rows", lambda cat: seed_rows(cat)[:2])
+    with pytest.raises(RuntimeError, match="no seed of semion lies in the class of c = 41 mod 24"):
+        walk(genus(category("semion"), 41))
 
 
 def test_roundtrip_six_steps_and_offdiagonals_nonzero():

@@ -36,7 +36,7 @@ def test_chi_of_rejects_a_walk_that_misses_h_ext(monkeypatch):
     import extremal2.chimat as chimat_mod
 
     monkeypatch.setattr(chimat_mod, "iterate", lambda m, h, n: (m, h + 1))
-    with pytest.raises(RuntimeError, match="h_ext"):
+    with pytest.raises(RuntimeError, match="differs from g_closed 1 steps above the class seed"):
         chi_of("semion", 25)
 
 

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extremal2 import classify, cli, reedmuller
-from extremal2.chimat import CharMatrix, alpha_beta, g_closed, k_closed, seed_rows
+from extremal2 import chimat, classify, cli, reedmuller
+from extremal2.chimat import CharMatrix, alpha_beta, chi_of, g_closed, k_closed, seed_rows
 from extremal2.genus import CATALOG, Surd
 from extremal2.reedmuller import _join, construction_xi, lemma6_scan, rm_codes
 
@@ -27,9 +27,9 @@ EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def run_cli(*args: str):
+def run_cli(*args: str, timeout: float = 300):
     return subprocess.run(
-        PKG + list(args), capture_output=True, text=True, timeout=300
+        PKG + list(args), capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -171,13 +171,24 @@ def test_usage_errors_exit_2(tmp_path):
 
 
 def test_an_inadmissible_huge_c_is_reported_by_its_residue(capsys):
-    # the message names c mod 8, not c's 300001 digits
+    # the message names c mod 8, not c's 4001 digits
     with pytest.raises(SystemExit) as exc:
-        cli.main(["chi", "--category", "semion", "--c=1e300000"])
+        cli.main(["chi", "--category", "semion", "--c=1e4000"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert len(err.encode()) < 300
     assert "needs c = 1 (mod 8), got c = 0 (mod 8)" in err
+
+
+@pytest.mark.parametrize("argv", [("--c=1e10000000",), ("--c=1e300000",),
+                                  ("--c", "-1e10000000")])
+def test_a_huge_exponent_is_a_usage_error_before_it_is_expanded(argv):
+    # past |exponent| 4300 no literal is an admissible c, and Fraction would
+    # spend seconds on 10**10000000
+    res = run_cli("chi", "--category", "semion", *argv, timeout=5)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.endswith("extremal2 chi: error: argument --c: exponent too large: "
+                               "above 4300 in magnitude\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -377,39 +388,42 @@ TAMPERED_WALKS = [
 ]
 
 
+def _tamper_iterate(entry: str, monkeypatch) -> list[int]:
+    """Make ``chimat.iterate`` add 1 to ``entry`` of the matrix it reaches;
+    the returned list collects the steps of each call."""
+    real, walks = chimat.iterate, []
+
+    def tampered(m, h, steps):
+        walks.append(steps)
+        m, h = real(m, h, steps)
+        return m._replace(**{entry: getattr(m, entry) + 1}), h
+
+    monkeypatch.setattr(chimat, "iterate", tampered)
+    return walks
+
+
 @pytest.mark.parametrize("c, entry, message", TAMPERED_WALKS)
 def test_chi_exits_1_on_a_tampered_walk(c, entry, message, monkeypatch, capsys):
-    real = cli.chi_of
-
-    def tampered(cat, c):
-        m = real(cat, c)
-        return m._replace(**{entry: getattr(m, entry) + 1})
-
-    monkeypatch.setattr(cli, "chi_of", tampered)
+    m = chi_of("semion", c)
+    _tamper_iterate(entry, monkeypatch)
     assert cli.main(["chi", "--category", "semion", "--c", str(c)]) == 1
     out, err = capsys.readouterr()
-    m = tampered("semion", c)
-    assert json.loads(out)["chi"] == m.to_json()  # printed as computed
+    tampered = m._replace(**{entry: getattr(m, entry) + 1})
+    assert json.loads(out)["chi"] == tampered.to_json()  # printed as computed
     assert err.splitlines()[1:] == [message]
 
 
 @pytest.mark.parametrize("c, entry, message", TAMPERED_WALKS, ids=["above", "below"])
 def test_character_exits_1_on_a_tampered_walk(c, entry, message, monkeypatch, capsys):
-    real, walks = cli.chi_of, []
-
-    def tampered(cat, c):
-        walks.append(c)
-        m = real(cat, c)
-        return m._replace(**{entry: getattr(m, entry) + 1})
-
-    monkeypatch.setattr(cli, "chi_of", tampered)
+    m = chi_of("semion", c)
+    walks = _tamper_iterate(entry, monkeypatch)
     assert cli.main(["character", "--category", "semion", "--c", str(c), "--order", "4"]) == 1
     out, err = capsys.readouterr()
-    assert walks == [c]  # one walk, both checked and expanded
-    m = tampered("semion", c)
+    assert walks == [(c - 1) // 24]  # one walk from the seed at 1, both checked and expanded
+    tampered = m._replace(**{entry: getattr(m, entry) + 1})
     printed = json.loads(out)
-    assert printed == cli.character_data("semion", Fraction(c), 4, m)  # as computed
-    assert printed != cli.character_data("semion", Fraction(c), 4, real("semion", c))
+    assert printed == cli.character_data("semion", Fraction(c), 4, tampered)  # as computed
+    assert printed != cli.character_data("semion", Fraction(c), 4, m)
     assert err.splitlines()[1:] == [message]
 
 
